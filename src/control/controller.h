@@ -52,9 +52,10 @@ struct ControllerConfig {
   // imbalance (max-executor share over the ideal share, minus one). Above
   // `drift_shrink` the claim order goes stale too fast between re-sorts —
   // halve the period; below `drift_grow` re-sorting buys nothing — double it.
-  // The defaults come from the claim-order drift replay (bench_claim_drift):
-  // the offline payoff curve stays within ~5% of the every-round oracle for
-  // small staleness and inflects past ~30%.
+  // The defaults were set from an offline replay of a traced fat-tree run's
+  // per-LP costs through LPT at growing re-sort staleness: makespan stayed
+  // within ~5% of the every-round oracle for small staleness and inflected
+  // past ~30%.
   double drift_shrink = 0.30;
   double drift_grow = 0.05;
   uint32_t min_period = 1;

@@ -1,7 +1,5 @@
 #include "src/kernel/barrier.h"
 
-#include <algorithm>
-
 #include "src/kernel/engine/phase_accountant.h"
 
 namespace unison {
@@ -11,63 +9,14 @@ void BarrierKernel::Setup(const TopoGraph& graph, const Partition& partition) {
   const uint32_t ranks = num_lps();
   // Rank r starts out owning LP r (the classic 1:1 pinning); the rank count
   // stays structural, but which LPs a rank serves is live — migrations
-  // re-home LPs across the same rank set at window boundaries.
+  // re-home LPs across the same rank set at window boundaries. Only
+  // placement is tunable: the rank count is not a live knob.
   pmap_.ResetStrided(ranks, ranks);
   ownership_movable_ = true;
-  barrier_ = std::make_unique<CombiningBarrier>(ranks);
-  rank_events_.assign(ranks, 0);
-  // A borrowed pool keeps its owner's placement; only the kernel's own pool
-  // takes this config's affinity.
-  active_pool_ = external_pool_ != nullptr ? external_pool_ : &pool_;
-  if (active_pool_ == &pool_) {
-    pool_.SetPlacement(config_.affinity);
-  }
-  active_pool_->Ensure(ranks);
+  SetupRounds("barrier", /*domains=*/1, ranks, /*lanes_tunable=*/false);
 }
 
-RunResult BarrierKernel::Run(Time stop_time) {
-  const uint32_t ranks = num_lps();
-  // The rank count is structural (one per LP), so only placement is live
-  // here; re-Ensure covers a borrowed pool resized by its owner's tuning.
-  tuning_ = SampleTuning(ranks, /*parties_tunable=*/false);
-  ApplyPendingMigrations();
-  if (active_pool_ == &pool_) {
-    pool_.ApplyPlacement(tuning_.affinity);
-  }
-  active_pool_->Ensure(ranks);
-  const uint64_t run_t0 = Profiler::NowNs();
-  // Speculative window execution with checkpoint rollback; see unison.cc.
-  bool speculate = BeginSpeculativeWindow();
-  for (;;) {
-    sync_.BeginRun("barrier", ranks, stop_time);
-    if (speculate) {
-      sync_.EnableSpeculation(tuning_.spec_horizon_ps);
-    }
-    sync_.SetParkBaseline(barrier_->parks());
-    rank_events_.assign(ranks, 0);
-
-    active_pool_->Run([this](uint32_t rank) { ExecLoop(rank); });
-
-    if (!speculate) {
-      break;
-    }
-    NoteSpecAttempt(sync_.spec_rounds(), sync_.spec_miss());
-    if (!sync_.spec_miss()) {
-      break;
-    }
-    speculate = false;
-  }
-
-  processed_events_ = 0;
-  for (uint64_t n : rank_events_) {
-    processed_events_ += n;
-  }
-  rounds_ = sync_.round_index();
-  return FinishRun("barrier", ranks, Profiler::NowNs() - run_t0, stop_time,
-                   sync_.reason());
-}
-
-void BarrierKernel::ExecLoop(uint32_t rank) {
+void BarrierKernel::RoundLoop(uint32_t rank) {
   // The LP set this rank serves for the whole window; ownership only changes
   // between windows (ApplyPendingMigrations), so the reference stays valid
   // and no worker ever observes a mid-window move.
@@ -85,37 +34,11 @@ void BarrierKernel::ExecLoop(uint32_t rank) {
     // barrier word. A rank that owns no LPs (everything migrated away)
     // contributes Max and keeps arriving: the barrier is population-fixed.
     acct.OpenInterval();
-    // When speculative rounds ran, this fold doubles as the miss check over
-    // the previous round's drains: an inbound arrival at or below an LP's
-    // already-advanced clock is a causality violation.
-    uint32_t flags = stop_requested() ? CombiningBarrier::kStopFlag : 0;
-    const bool check_spec = sync_.spec_active();
-    Time min_next = Time::Max();
-    for (uint32_t id : owned) {
-      Lp* const lp = lps_[id].get();
-      const Time next = lp->fel().NextTimestamp();
-      min_next = std::min(min_next, next);
-      if (check_spec && !next.IsMax() && next <= lp->now() &&
-          lp->now() > Time::Zero()) {
-        flags |= CombiningBarrier::kSpecMissFlag;
-      }
-    }
-    const uint64_t barrier_t0 =
-        rank == 0 && sync_.tracing() ? Profiler::NowNs() : 0;
-    barrier_->Arrive(rank, min_next.ps(), events, flags);
-    if (rank == 0) {
-      sync_.Absorb(*barrier_);
-      if (sync_.tracing()) {
-        // Attributed to the round this reduction closes (a no-op before
-        // round 0 exists).
-        sync_.RecordBarrierWait(Profiler::NowNs() - barrier_t0,
-                                barrier_->parks());
-      }
-      if (sync_.ComputeWindow()) {
-        // The reduced count is the live cross-rank total as of this
-        // barrier, so the trace's events_before stays live.
-        sync_.CommitRound(sync_.reduced_events());
-      }
+    Reduce(rank, Fold(owned), events);
+    if (rank == 0 && sync_.ComputeWindow()) {
+      // The reduced count is the live cross-rank total as of this barrier,
+      // so the trace's events_before stays live.
+      sync_.CommitRound(sync_.reduced_events());
     }
     barrier_->Arrive(rank);
     if (sync_.done()) {
@@ -144,7 +67,7 @@ void BarrierKernel::ExecLoop(uint32_t rank) {
       }
     }
     acct.CloseProcessing();
-    rank_events_[rank] = events;  // Published by the barrier for LiveEvents.
+    executor_events_[rank] = events;  // Published by the barrier for LiveEvents.
 
     // Rank 0 additionally handles global events at the window edge so that
     // simulation stop and progress reports work; stock ns-3 duplicates these
@@ -158,7 +81,7 @@ void BarrierKernel::ExecLoop(uint32_t rank) {
       if (sync_.SpecAllowsGlobals()) {
         events += RunGlobalEvents(sync_.lbts(), sync_.stop());
       }
-      rank_events_[rank] = events;
+      executor_events_[rank] = events;
       acct.CloseProcessing();
     }
     barrier_->Arrive(rank);
@@ -174,7 +97,7 @@ void BarrierKernel::ExecLoop(uint32_t rank) {
     ++round;
   }
 
-  rank_events_[rank] = events;
+  executor_events_[rank] = events;
   acct.set_events(events);  // Destructor flushes the totals to the profiler.
 }
 

@@ -1,49 +1,31 @@
 // Barrier-synchronization PDES baseline (§2.3): the default parallel kernel
-// of ns-3, reproduced over threads instead of MPI ranks.
+// of ns-3, reproduced over threads instead of MPI ranks — the baseline
+// Figs. 5 and 11 compare Unison against.
 //
 // The topology is statically partitioned by the user; each LP starts on its
 // own executor ("rank"), though ownership is live — window-boundary
-// migrations may re-home LPs across the rank set. Every round, ranks
-// all-reduce the minimum
-// next-event timestamp to obtain the LBTS (Eq. 1), process events below it,
-// and barrier. Cross-LP events go through a locked per-rank inbox, mimicking
-// MPI message receipt — including its arrival-order indeterminism when the
-// kernel runs with deterministic=false. The prologue, P/S/M accounting, and
-// rank threads come from the shared engine (src/kernel/engine/).
+// migrations may re-home LPs across the rank set. Every round, ranks first
+// all-reduce the minimum next-event timestamp to obtain the LBTS (Eq. 1),
+// then process events below it, and barrier. Cross-LP events go through a
+// locked per-rank inbox, mimicking MPI message receipt — including its
+// arrival-order indeterminism when the kernel runs with deterministic=false.
+// Only this round body is the kernel's own: the window driver, the fold, and
+// the rank threads come from the shared engine (src/kernel/engine/).
 #ifndef UNISON_SRC_KERNEL_BARRIER_H_
 #define UNISON_SRC_KERNEL_BARRIER_H_
 
-#include <memory>
-#include <vector>
-
-#include "src/kernel/engine/executor_pool.h"
-#include "src/kernel/engine/round_sync.h"
-#include "src/kernel/kernel.h"
-#include "src/sched/combining_barrier.h"
+#include "src/kernel/engine/round_kernel.h"
 
 namespace unison {
 
-class BarrierKernel : public Kernel {
+class BarrierKernel : public RoundKernel {
  public:
-  using Kernel::Kernel;
-
-  void Setup(const TopoGraph& graph, const Partition& partition) override;
-  RunResult Run(Time stop_time) override;
+  using RoundKernel::RoundKernel;
 
   // One executor rank per LP. The *initial* assignment pins rank r to LP r,
   // but ownership is live (partition map): the rank count is the ceiling,
   // not the mapping.
-  uint32_t MaxExecutors() const override { return num_lps(); }
-
-  ExecutorPool* executor_pool() override { return active_pool_; }
-
-  uint64_t LiveEvents() const override {
-    uint64_t sum = 0;
-    for (uint64_t n : rank_events_) {
-      sum += n;
-    }
-    return sum;
-  }
+  void Setup(const TopoGraph& graph, const Partition& partition) override;
 
  protected:
   // Cross-LP transfer via the target's locked inbox: arrival order depends
@@ -55,17 +37,7 @@ class BarrierKernel : public Kernel {
 
  private:
   // One executor rank's window loop over its owned LP set (pmap_.owned).
-  void ExecLoop(uint32_t rank);
-
-  ExecutorPool pool_;    // Threads spawned once at Setup, reused across runs.
-  // The pool Run() actually uses: the borrowed external pool when one was
-  // lent (Session::Fork), else pool_. Set at Setup.
-  ExecutorPool* active_pool_ = nullptr;
-  RoundSync sync_{this};
-  std::unique_ptr<CombiningBarrier> barrier_;
-  // Per-rank event counters, published at each round barrier so LiveEvents()
-  // is live mid-run (global progress events see current counts).
-  std::vector<uint64_t> rank_events_;
+  void RoundLoop(uint32_t rank) override;
 };
 
 }  // namespace unison

@@ -1,0 +1,116 @@
+#include "src/kernel/engine/round_kernel.h"
+
+#include <algorithm>
+
+namespace unison {
+
+void RoundKernel::SetupRounds(const char* name, uint32_t domains,
+                              uint32_t max_lanes, bool lanes_tunable) {
+  name_ = name;
+  domains_ = std::max(1u, domains);
+  max_lanes_ = std::max(1u, max_lanes);
+  lanes_ = max_lanes_;
+  lanes_tunable_ = lanes_tunable;
+  barrier_ = std::make_unique<CombiningBarrier>(executors());
+  executor_events_.assign(executors(), 0);
+  // A borrowed pool keeps its owner's placement; only the kernel's own pool
+  // takes this config's affinity. Executor ids are domain-major, so compact
+  // placement lays domains (hybrid ranks) out socket-major: a rank's lanes
+  // fill one package before the next rank starts.
+  active_pool_ = external_pool_ != nullptr ? external_pool_ : &pool_;
+  if (active_pool_ == &pool_) {
+    pool_.SetPlacement(config_.affinity);
+  }
+  active_pool_->Ensure(executors());
+}
+
+RunResult RoundKernel::Run(Time stop_time) {
+  // Sample the live tunables once per window, before any worker releases:
+  // re-sort cadence, live lanes (≤ the Setup ceiling, so Finalize-sized
+  // per-executor state still fits), and placement. A window is the only
+  // safe boundary — the barrier tree and the owned lists key off lanes_.
+  tuning_ = SampleTuning(max_lanes_, lanes_tunable_);
+  const bool resized = tuning_.parties != lanes_;
+  if (resized) {
+    lanes_ = tuning_.parties;
+    barrier_ = std::make_unique<CombiningBarrier>(executors());
+  }
+  if (active_pool_ == &pool_) {
+    pool_.ApplyPlacement(tuning_.affinity);
+  }
+  // Re-Ensure every window (no-op when unchanged): a borrowed pool may have
+  // been resized by its owner, and tuning resizes ours.
+  active_pool_->Ensure(executors());
+  ApplyPendingMigrations();
+  if (resized) {
+    OnOwnershipChanged();  // Owned lists fold onto the live executor count.
+  }
+
+  const uint64_t run_t0 = Profiler::NowNs();
+  // Speculation (DESIGN.md §3k): capture the window checkpoint while the
+  // session is quiescent; rounds may then extend past the LBTS bound. A
+  // causality miss aborts the attempt without touching the session
+  // accumulators (FinishRun is skipped), rolls back to the checkpoint, and
+  // the loop re-runs the window conservatively — at most one retry, and the
+  // conservative attempt cannot miss.
+  bool speculate = BeginSpeculativeWindow();
+  for (;;) {
+    sync_.BeginRun(name_, executors(), stop_time);
+    if (speculate) {
+      sync_.EnableSpeculation(tuning_.spec_horizon_ps);
+    }
+    sync_.SetParkBaseline(barrier_->parks());
+    executor_events_.assign(executors(), 0);
+    // Seeds the first prologue of kernels that fold at the end of a round.
+    sync_.SeedMinFromLps();
+
+    active_pool_->Run([this](uint32_t executor) { RoundLoop(executor); });
+
+    if (!speculate) {
+      break;
+    }
+    NoteSpecAttempt(sync_.spec_rounds(), sync_.spec_miss());
+    if (!sync_.spec_miss()) {
+      break;
+    }
+    speculate = false;
+  }
+
+  processed_events_ = RoundKernel::LiveEvents();
+  rounds_ = sync_.round_index();
+  return FinishRun(name_, executors(), Profiler::NowNs() - run_t0, stop_time,
+                   sync_.reason());
+}
+
+RoundKernel::FoldResult RoundKernel::Fold(const std::vector<uint32_t>& lps) const {
+  FoldResult fold;
+  fold.flags = stop_requested() ? CombiningBarrier::kStopFlag : 0;
+  const bool check_spec = sync_.spec_active();
+  for (uint32_t id : lps) {
+    const Lp* const lp = lps_[id].get();
+    const Time next = lp->fel().NextTimestamp();
+    fold.min_ps = std::min(fold.min_ps, next.ps());
+    if (check_spec && !next.IsMax() && next <= lp->now() &&
+        lp->now() > Time::Zero()) {
+      fold.flags |= CombiningBarrier::kSpecMissFlag;
+    }
+  }
+  return fold;
+}
+
+void RoundKernel::Reduce(uint32_t executor, FoldResult fold, uint64_t events) {
+  const uint64_t barrier_t0 =
+      executor == 0 && sync_.tracing() ? Profiler::NowNs() : 0;
+  barrier_->Arrive(executor, fold.min_ps, events, fold.flags);
+  if (executor == 0) {
+    sync_.Absorb(*barrier_);
+    if (sync_.tracing()) {
+      // Attributed to the round most recently committed (a no-op before
+      // round 0 exists).
+      sync_.RecordBarrierWait(Profiler::NowNs() - barrier_t0,
+                              barrier_->parks());
+    }
+  }
+}
+
+}  // namespace unison

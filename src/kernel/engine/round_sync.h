@@ -1,19 +1,20 @@
-// The shared coordinator prologue of the barrier-phase kernels.
+// The shared coordinator prologue of the round-synchronized kernels.
 //
-// Barrier, Unison, and hybrid each used to carry a private copy of the same
-// start-of-round logic: fold the workers' min-reduction into the Eq. 2 LBTS,
-// run the stop/termination check, and open the profiler/trace round. Copies
-// drift — the cross-kernel time-composition comparisons (Figs. 5b/9b/13) are
-// only trustworthy when every kernel runs identically-audited machinery — so
-// RoundSync is the single implementation, parameterized by kernel name. The
-// null-message kernel keeps its channel-local windows (it has no global
-// rounds) but uses BeginRun for the same run-level bookkeeping.
+// RoundSync is the single implementation of the start-of-round logic: fold
+// the executors' min-reduction into the Eq. 2 LBTS, run the
+// stop/termination check, and open the profiler/trace round, parameterized
+// by kernel name. The cross-kernel time-composition comparisons (Figs.
+// 5b/9b/13) are only trustworthy when every kernel runs identically-audited
+// machinery. RoundKernel (round_kernel.h) owns one instance and drives it for
+// the barrier and Unison kernels (kHybrid included); the null-message kernel
+// keeps its channel-local windows (it has no global rounds) but uses
+// BeginRun for the same run-level bookkeeping.
 //
-// The reduction inputs no longer arrive through a shared CAS line: workers
-// contribute their partial {min, event count, stop flag} to the
-// CombiningBarrier's fused arrival pass, and the coordinator Absorb()s the
-// tree's published result between barriers. Every method here is
-// coordinator-only (worker 0 / rank 0, between barriers).
+// The reduction inputs do not arrive through a shared CAS line: executors
+// contribute their partial {min, event count, flags} to the
+// CombiningBarrier's fused arrival pass (RoundKernel::Reduce), and the
+// coordinator Absorb()s the tree's published result between barriers. Every
+// method here is coordinator-only (executor 0, between barriers).
 #ifndef UNISON_SRC_KERNEL_ENGINE_ROUND_SYNC_H_
 #define UNISON_SRC_KERNEL_ENGINE_ROUND_SYNC_H_
 

@@ -2,7 +2,6 @@
 #include <string>
 
 #include "src/kernel/barrier.h"
-#include "src/kernel/hybrid.h"
 #include "src/kernel/kernel.h"
 #include "src/kernel/nullmsg.h"
 #include "src/kernel/sequential.h"
@@ -22,9 +21,8 @@ std::unique_ptr<Kernel> MakeKernel(const KernelConfig& config) {
     case KernelType::kNullMessage:
       return std::make_unique<NullMessageKernel>(config);
     case KernelType::kUnison:
+    case KernelType::kHybrid:  // Unison with more than one rank.
       return std::make_unique<UnisonKernel>(config);
-    case KernelType::kHybrid:
-      return std::make_unique<HybridKernel>(config);
   }
   return nullptr;
 }

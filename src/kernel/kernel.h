@@ -358,9 +358,10 @@ class Kernel {
   void ApplyPendingMigrations();
 
   // Hook for kernels that mirror the partition map into their own structures
-  // (hybrid's rank arrays). Called with the pool quiescent, after the map has
-  // changed (migration apply or snapshot restore). Default: nothing — kernels
-  // that read pmap_.owned() directly need no mirror.
+  // (Unison's claim domains and owned lists). Called with the pool quiescent,
+  // after the map has changed (migration apply or snapshot restore) — and by
+  // RoundKernel after a lane resize, which re-folds the owned lists. Default:
+  // nothing — kernels that read pmap_.owned() directly need no mirror.
   virtual void OnOwnershipChanged() {}
 
   // Adds to an LP's processing cost for the current window. Safe from

@@ -1,137 +1,118 @@
 #include "src/kernel/unison.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "src/kernel/engine/phase_accountant.h"
-#include "src/sched/lpt.h"
 #include "src/sched/metrics.h"
 
 namespace unison {
 
 void UnisonKernel::Setup(const TopoGraph& graph, const Partition& partition) {
   Kernel::Setup(graph, partition);
-  num_workers_ = std::max(1u, config_.threads);
-  // Ownership domain = the config thread ceiling (MaxExecutors), not the
-  // live worker count: tuning may shrink workers between windows, and a move
-  // set computed in ceiling units stays meaningful — owner slots fold modulo
-  // the live count when the per-window lists are built.
-  pmap_.ResetStrided(num_lps(), num_workers_);
-  ownership_movable_ = true;
-  order_.resize(num_lps());
-  std::iota(order_.begin(), order_.end(), 0);
-  last_round_ns_.assign(num_lps(), 0);
-  worker_events_.assign(num_workers_, 0);
-  barrier_ = std::make_unique<CombiningBarrier>(num_workers_);
-  active_pool_ = external_pool_ != nullptr ? external_pool_ : &pool_;
-  if (active_pool_ == &pool_) {
-    pool_.SetPlacement(config_.affinity);
+  const bool hybrid = config_.type == KernelType::kHybrid;
+  const uint32_t ranks = hybrid ? std::max(1u, config_.ranks) : 1;
+  if (hybrid) {
+    // Coarse host mapping: slice the node-id range into `ranks` blocks (the
+    // static partition the barrier algorithm would use), then place each LP
+    // on the rank owning its first node. Fine-grained LPs never straddle
+    // hosts — initially; window-boundary migrations can re-home them.
+    std::vector<uint32_t> assignment(num_lps(), 0);
+    std::vector<NodeId> first_node(num_lps(), graph.num_nodes);
+    for (NodeId n = 0; n < graph.num_nodes; ++n) {
+      const LpId lp = partition_.lp_of_node[n];
+      first_node[lp] = std::min(first_node[lp], n);
+    }
+    for (LpId lp = 0; lp < num_lps(); ++lp) {
+      assignment[lp] = static_cast<uint32_t>(static_cast<uint64_t>(first_node[lp]) *
+                                             ranks / std::max(1u, graph.num_nodes));
+    }
+    pmap_.Reset(std::move(assignment), ranks);
+  } else {
+    // Ownership domain = the config thread ceiling (MaxExecutors), not the
+    // live worker count: a move set computed in ceiling units stays
+    // meaningful — owner slots fold modulo the live lanes in the owned lists.
+    pmap_.ResetStrided(num_lps(), std::max(1u, config_.threads));
   }
-  active_pool_->Ensure(num_workers_);
+  ownership_movable_ = true;
+  last_round_ns_.assign(num_lps(), 0);
+  claim_ = std::make_unique<ClaimCursor[]>(ranks);
+  SetupRounds(hybrid ? "hybrid" : "unison", ranks, config_.threads,
+              /*lanes_tunable=*/true);
+  OnOwnershipChanged();
 }
 
-RunResult UnisonKernel::Run(Time stop_time) {
-  // Sample the live tunables once per window, before any worker releases:
-  // re-sort cadence, active worker count (≤ the config thread count, so
-  // Finalize-sized per-executor state still fits), and placement. A window is
-  // the only safe boundary — the barrier tree and the claim stride both key
-  // off num_workers_.
-  tuning_ = SampleTuning(std::max(1u, config_.threads));
-  period_ = tuning_.sched_period;
-  if (tuning_.parties != num_workers_) {
-    num_workers_ = tuning_.parties;
-    barrier_ = std::make_unique<CombiningBarrier>(num_workers_);
-  }
-  if (active_pool_ == &pool_) {
-    pool_.ApplyPlacement(tuning_.affinity);
-  }
-  // Re-Ensure every window (no-op when unchanged): a borrowed pool may have
-  // been resized by its owner, and tuning resizes ours.
-  active_pool_->Ensure(num_workers_);
-
-  // Apply any window-boundary ownership moves, then fold the live map onto
-  // this window's worker count: the map's domain is the config thread
-  // ceiling, so owner slots wrap modulo the (possibly smaller) live count.
-  ApplyPendingMigrations();
-  owned_lists_.assign(num_workers_, {});
-  for (uint32_t lp = 0; lp < num_lps(); ++lp) {
-    owned_lists_[pmap_.owner(lp) % num_workers_].push_back(lp);
-  }
-
-  const uint64_t run_t0 = Profiler::NowNs();
-  // Speculation (DESIGN.md §3k): capture the window checkpoint while the
-  // session is quiescent; rounds may then extend past the LBTS bound. A
-  // causality miss aborts the attempt without touching the session
-  // accumulators (FinishRun is skipped), rolls back to the checkpoint, and
-  // the loop re-runs the window conservatively — at most one retry, and the
-  // conservative attempt cannot miss.
-  bool speculate = BeginSpeculativeWindow();
-  for (;;) {
-    sync_.BeginRun("unison", num_workers_, stop_time);
-    if (speculate) {
-      sync_.EnableSpeculation(tuning_.spec_horizon_ps);
+void UnisonKernel::OnOwnershipChanged() {
+  // Claim orders restart id-ascending; the next prologue re-sorts them.
+  // Claim order only affects wall time, so resetting it costs nothing
+  // observable. Owned lists: unison folds owner slots modulo the live
+  // lanes; hybrid stripes each rank's LPs across that rank's lanes.
+  const bool ranked = config_.type == KernelType::kHybrid;
+  order_.clear();
+  domain_end_.clear();
+  owned_lists_.assign(executors(), {});
+  for (uint32_t d = 0; d < domains_; ++d) {
+    const size_t begin = order_.size();
+    if (ranked) {
+      order_.insert(order_.end(), pmap_.owned(d).begin(), pmap_.owned(d).end());
+    } else {
+      for (uint32_t lp = 0; lp < num_lps(); ++lp) {
+        order_.push_back(lp);
+      }
     }
-    sync_.SetParkBaseline(barrier_->parks());
-    timing_ = sync_.profiling() ||
-              config_.metric == SchedulingMetric::kByLastRoundTime;
-    worker_events_.assign(num_workers_, 0);
-
-    // Seed the min-reduction for the first prologue.
-    sync_.SeedMinFromLps();
-
-    active_pool_->Run([this](uint32_t worker) { RoundLoop(worker); });
-
-    if (!speculate) {
-      break;
+    for (size_t i = begin; i < order_.size(); ++i) {
+      const uint32_t lane =
+          ranked ? (i - begin) % lanes_ : pmap_.owner(order_[i]) % lanes_;
+      owned_lists_[d * lanes_ + lane].push_back(order_[i]);
     }
-    NoteSpecAttempt(sync_.spec_rounds(), sync_.spec_miss());
-    if (!sync_.spec_miss()) {
-      break;
-    }
-    speculate = false;
+    domain_end_.push_back(static_cast<uint32_t>(order_.size()));
   }
-
-  processed_events_ = 0;
-  for (uint64_t n : worker_events_) {
-    processed_events_ += n;
-  }
-  rounds_ = sync_.round_index();
-  return FinishRun("unison", num_workers_, Profiler::NowNs() - run_t0,
-                   stop_time, sync_.reason());
 }
 
 void UnisonKernel::Prologue() {
   if (!sync_.ComputeWindow()) {
     return;
   }
-  // Load-adaptive scheduling: re-sort the claim order every `period_` rounds.
-  bool resorted = false;
-  if (sync_.round_index() % period_ == 0) {
-    switch (config_.metric) {
-      case SchedulingMetric::kNone:
-        break;  // Keep id order: no scheduling.
-      case SchedulingMetric::kByPendingEventCount:
-        EstimateByPendingEvents(lps_, sync_.window(), &cost_buf_);
-        order_ = SortByCostDescending(cost_buf_);
-        resorted = true;
-        break;
-      case SchedulingMetric::kByLastRoundTime:
-        order_ = SortByCostDescending(last_round_ns_);
-        resorted = true;
-        break;
+  // Load-adaptive scheduling: re-sort each domain's claim order every
+  // sched_period rounds. The LpId tie-break makes the order a function of
+  // the costs alone, not of the previous (timing-dependent) order.
+  const bool resort = config_.metric != SchedulingMetric::kNone &&
+                      sync_.round_index() % tuning_.sched_period == 0;
+  if (resort) {
+    if (config_.metric == SchedulingMetric::kByPendingEventCount) {
+      EstimateByPendingEvents(lps_, sync_.window(), &cost_buf_);
+    }
+    const std::vector<uint64_t>& cost =
+        config_.metric == SchedulingMetric::kByPendingEventCount ? cost_buf_
+                                                                 : last_round_ns_;
+    uint32_t begin = 0;
+    for (uint32_t end : domain_end_) {
+      std::sort(order_.begin() + begin, order_.begin() + end,
+                [&cost](uint32_t a, uint32_t b) {
+                  return cost[a] != cost[b] ? cost[a] > cost[b] : a < b;
+                });
+      begin = end;
     }
   }
   // events_before comes from the end-of-round barrier's fused count — the
   // live cross-worker total as of the last reduction (0 for round 0).
   sync_.CommitRound(sync_.reduced_events());
-  if (resorted) {
+  if (resort) {
     sync_.RecordClaimOrder(order_);
   }
-  claim_.store(0, std::memory_order_relaxed);
+  for (uint32_t d = 0; d < domains_; ++d) {
+    claim_[d].next.store(0, std::memory_order_relaxed);
+  }
 }
 
 void UnisonKernel::RoundLoop(uint32_t worker) {
-  const uint32_t num = num_lps();
+  const uint32_t domain = worker / lanes_;
+  const uint32_t begin = domain == 0 ? 0 : domain_end_[domain - 1];
+  const uint32_t* const order = order_.data() + begin;
+  const uint32_t claimable = domain_end_[domain] - begin;
+  std::atomic<uint32_t>& claim = claim_[domain].next;
+  const std::vector<uint32_t>& owned = owned_lists_[worker];
+  const bool record =
+      profiler_ != nullptr && profiler_->enabled && profiler_->per_lp;
   uint64_t events = 0;
   // Worker-local round index: every worker executes the same loop iterations,
   // so this mirrors sync_.round_index() without reading shared state. It keys
@@ -139,7 +120,10 @@ void UnisonKernel::RoundLoop(uint32_t worker) {
   // wait — including the end-of-round barrier, which overlaps worker 0's next
   // prologue — be attributed to its round without data races.
   uint32_t round = 0;
-  PhaseAccountant acct(worker, timing_, profiler_);
+  PhaseAccountant acct(worker,
+                       sync_.profiling() ||
+                           config_.metric == SchedulingMetric::kByLastRoundTime,
+                       profiler_);
 
   for (;;) {
     if (worker == 0) {
@@ -153,18 +137,17 @@ void UnisonKernel::RoundLoop(uint32_t worker) {
     acct.BeginRound(round);
     acct.CloseSync();
 
-    // Phase 1: process events. Claim LPs in scheduler priority order. The
-    // whole phase closes into P, so claim-cursor and bookkeeping overhead is
-    // attributed alongside the per-LP work it exists to distribute.
+    // Phase 1: process events. Claim the domain's LPs in scheduler priority
+    // order. The whole phase closes into P, so claim-cursor and bookkeeping
+    // overhead is attributed alongside the per-LP work it exists to
+    // distribute.
     const Time window = sync_.window();
     for (;;) {
-      const uint32_t i = claim_.fetch_add(1, std::memory_order_relaxed);
-      if (i >= num) {
+      const uint32_t i = claim.fetch_add(1, std::memory_order_relaxed);
+      if (i >= claimable) {
         break;
       }
-      const LpId lp_id = order_[i];
-      const bool record = profiler_ != nullptr && profiler_->enabled &&
-                          profiler_->per_lp;
+      const LpId lp_id = order[i];
       // Capped like EstimateByPendingEvents: an uncapped CountBefore is a
       // full recursive heap walk per LP per round, and the heatmap/cost-model
       // consumers only need "how busy", never exact counts past the cap.
@@ -187,7 +170,7 @@ void UnisonKernel::RoundLoop(uint32_t worker) {
       }
     }
     acct.CloseProcessing();
-    worker_events_[worker] = events;  // Published by the barrier for LiveEvents.
+    executor_events_[worker] = events;  // Published by the barrier for LiveEvents.
     barrier_->Arrive(worker);
     acct.CloseSync();
 
@@ -204,10 +187,10 @@ void UnisonKernel::RoundLoop(uint32_t worker) {
     barrier_->Arrive(worker);
     acct.CloseSync();
 
-    // Phase 3: receive events from mailboxes — each worker drains the LPs it
-    // owns this window (no shared cursor; the lists partition all LPs, so
-    // every inbox is drained exactly once per round).
-    for (uint32_t id : owned_lists_[worker]) {
+    // Phase 3: receive events from mailboxes — intra-rank and inter-rank
+    // alike. The owned lists partition all LPs, so every inbox is drained
+    // exactly once per round, with no shared cursor.
+    for (uint32_t id : owned) {
       lps_[id]->DrainInboxes();
     }
     acct.CloseMessaging();
@@ -216,44 +199,17 @@ void UnisonKernel::RoundLoop(uint32_t worker) {
     barrier_->Arrive(worker);
     acct.CloseSync();
 
-    // Phase 4: update the window — each worker folds its owned LP list into
-    // a local minimum and contributes it, with its event count and stop
-    // vote, to the end-of-round barrier's fused reduction. No shared CAS
-    // line: the tree combine IS the all-reduce. The lists partition all LPs,
-    // so the reduced min equals the strided slicing this replaces. When
-    // speculative rounds ran, the same fold doubles as the miss check: an
-    // inbound arrival at or below an LP's already-advanced clock is a
-    // causality violation, flagged into the fused reduction.
-    uint32_t flags = stop_requested() ? CombiningBarrier::kStopFlag : 0;
-    const bool check_spec = sync_.spec_active();
-    int64_t local_min_ps = INT64_MAX;
-    for (uint32_t id : owned_lists_[worker]) {
-      Lp* const lp = lps_[id].get();
-      const Time next = lp->fel().NextTimestamp();
-      local_min_ps = std::min(local_min_ps, next.ps());
-      if (check_spec && !next.IsMax() && next <= lp->now() &&
-          lp->now() > Time::Zero()) {
-        flags |= CombiningBarrier::kSpecMissFlag;
-      }
-    }
+    // Phase 4: update the window — fold the owned list and contribute it to
+    // the end-of-round barrier's fused reduction. No shared CAS line: the
+    // tree combine IS the all-reduce.
+    const FoldResult fold = Fold(owned);
     acct.CloseMessaging();
-    // End-of-round barrier: releases with the reduced {min, count, flags}
-    // already published, which worker 0 absorbs for the next prologue.
-    const uint64_t barrier_t0 =
-        worker == 0 && sync_.tracing() ? Profiler::NowNs() : 0;
-    barrier_->Arrive(worker, local_min_ps, events, flags);
-    if (worker == 0) {
-      sync_.Absorb(*barrier_);
-      if (sync_.tracing()) {
-        sync_.RecordBarrierWait(Profiler::NowNs() - barrier_t0,
-                                barrier_->parks());
-      }
-    }
+    Reduce(worker, fold, events);
     acct.CloseSync();
     ++round;
   }
 
-  worker_events_[worker] = events;
+  executor_events_[worker] = events;
   acct.set_events(events);  // Destructor flushes the totals to the profiler.
 }
 

@@ -1,94 +1,82 @@
 // The Unison kernel (§4, §5): fine-grained partition consumed through
 // load-adaptive scheduling, executed by a persistent executor pool in
-// lock-free rounds.
+// lock-free rounds — and, with KernelType::kHybrid, the §5.2 hybrid kernel,
+// which is the same kernel with more than one rank.
+//
+// LPs are split into claim domains: one for kUnison (every LP), or one per
+// simulated host ("rank") for kHybrid, initially sliced by node range the way
+// the barrier algorithm would map MPI ranks. A domain's lanes (workers) only
+// ever claim that domain's LPs, so load balancing never crosses a rank
+// boundary within a window and skew between hosts shows up as
+// synchronization time — what the paper's distributed experiments measure.
+// Across ranks, the window update is the all-reduce; inter-rank events travel
+// through the same mailbox fabric (in-process here; the wire serialization of
+// a real deployment does not change the synchronization structure). Between
+// windows ownership is live (partition map): migrations can re-home LPs
+// across worker slots or ranks.
 //
 // Each round has four phases separated by barriers (Fig. 7):
-//   1. Process events  — workers claim LPs from the scheduler's sorted order
+//   1. Process events  — workers claim LPs from their domain's sorted order
 //                        via an atomic cursor (LPT list scheduling) and run
 //                        each claimed LP up to the window bound.
 //   2. Global events   — worker 0 alone runs public-LP events that fall on
 //                        the window edge; topology changes recompute the
 //                        lookahead here.
 //   3. Receive events  — each worker drains the mailboxes of the LPs it
-//                        owns (live partition map, folded onto the window's
-//                        worker count) into their FELs.
-//   4. Update window   — each worker computes a local min over its owned LP
-//                        list and contributes it (with its event count and
+//                        owns into their FELs.
+//   4. Update window   — each worker folds the same owned list into a local
+//                        min and contributes it (with its event count and
 //                        stop vote) to the end-of-round barrier's fused
 //                        reduction; worker 0 absorbs the tree's result and
 //                        derives the next LBTS from Eq. 2 (RoundSync).
 //
 // The only shared-state mutation on the fast path besides the barrier tree
-// is the claim cursor — the min-reduction, event counting, and stop check
-// all ride the combining barrier's arrival pass instead of separate global
-// atomics. The prologue, P/S/M accounting, and worker threads all come from
-// the shared engine (src/kernel/engine/).
+// is the claim cursor. The window driver, the fold, and the worker threads
+// come from the shared engine (src/kernel/engine/).
 #ifndef UNISON_SRC_KERNEL_UNISON_H_
 #define UNISON_SRC_KERNEL_UNISON_H_
 
-#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <vector>
 
-#include "src/kernel/engine/executor_pool.h"
-#include "src/kernel/engine/round_sync.h"
-#include "src/kernel/kernel.h"
-#include "src/sched/combining_barrier.h"
+#include "src/kernel/engine/round_kernel.h"
 
 namespace unison {
 
-class UnisonKernel : public Kernel {
+class UnisonKernel : public RoundKernel {
  public:
-  using Kernel::Kernel;
+  using RoundKernel::RoundKernel;
 
   void Setup(const TopoGraph& graph, const Partition& partition) override;
-  RunResult Run(Time stop_time) override;
 
-  // The ceiling, not the live count: tuning may shrink num_workers_ between
-  // windows, but per-executor state sized at Finalize must cover every window.
-  uint32_t MaxExecutors() const override {
-    return std::max(1u, config_.threads);
-  }
-
-  ExecutorPool* executor_pool() override { return active_pool_; }
-
-  uint64_t LiveEvents() const override {
-    uint64_t sum = 0;
-    for (uint64_t n : worker_events_) {
-      sum += n;
-    }
-    return sum;
-  }
+ protected:
+  // Re-splits the domains' claim orders and the per-worker owned lists from
+  // the partition map (Setup, migration, restore, lane resize).
+  void OnOwnershipChanged() override;
 
  private:
   // Worker 0's start-of-round bookkeeping: window computation, termination
-  // check, periodic scheduler re-sort.
+  // check, periodic per-domain re-sort.
   void Prologue();
-  void RoundLoop(uint32_t worker);
+  void RoundLoop(uint32_t worker) override;
 
-  uint32_t num_workers_ = 1;
-  uint32_t period_ = 1;
+  struct alignas(64) ClaimCursor {
+    std::atomic<uint32_t> next{0};
+  };
 
-  ExecutorPool pool_;    // Threads spawned once at Setup, reused across runs.
-  // The pool Run() actually uses: the borrowed external pool when one was
-  // lent (Session::Fork), else pool_. Set at Setup.
-  ExecutorPool* active_pool_ = nullptr;
-  RoundSync sync_{this};
-  std::unique_ptr<CombiningBarrier> barrier_;
-  std::atomic<uint32_t> claim_{0};
-
-  // Per-worker LP lists for the receive and window-update phases, rebuilt at
-  // each window start from the live partition map (owner slot folded modulo
-  // the window's live worker count). Phase 1 keeps claiming dynamically —
-  // ownership here fixes *responsibility* (drain, min), not the
-  // load-adaptive processing order.
+  // Claim orders of all domains, concatenated domain-major; domain d is
+  // order_[domain_end_[d-1], domain_end_[d]). Each domain's slice is re-sorted
+  // in place by (cost desc, id asc).
+  std::vector<uint32_t> order_;
+  std::vector<uint32_t> domain_end_;
+  std::unique_ptr<ClaimCursor[]> claim_;
+  // Per-worker LP lists for the receive and window-update phases. Phase 1
+  // keeps claiming dynamically — ownership here fixes *responsibility*
+  // (drain, min), not the load-adaptive processing order.
   std::vector<std::vector<uint32_t>> owned_lists_;
-  std::vector<uint32_t> order_;          // LP ids, scheduler priority order.
   std::vector<uint64_t> last_round_ns_;  // Per-LP ByLastRoundTime estimates.
   std::vector<uint64_t> cost_buf_;
-  std::vector<uint64_t> worker_events_;
-  bool timing_ = false;  // Collect per-LP wall time this run.
 };
 
 }  // namespace unison

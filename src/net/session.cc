@@ -92,6 +92,20 @@ class Reader {
     return s;
   }
 
+  // An element count, rejected unless `count * min_bytes` fits in the bytes
+  // left. Every count sizes an allocation or a loop, and each element takes
+  // at least `min_bytes` (> 0) on the wire, so a corrupt count fails here
+  // instead of reaching an allocation sized from garbage.
+  template <typename T>
+  T Count(size_t min_bytes) {
+    const T n = Get<T>();
+    if (n > remaining() / min_bytes) {
+      SnapshotFatal("element count exceeds the snapshot buffer (corrupt file "
+                    "or version skew)");
+    }
+    return n;
+  }
+
   size_t remaining() const { return buf_.size() - pos_; }
 
  private:
@@ -412,7 +426,8 @@ void GetLp(Reader& r, Network* net, Lp* lp) {
   const uint64_t seq = r.U64();
   const uint64_t arrival_seq = r.U64();
   lp->RestoreCounters(seq, arrival_seq);
-  const uint64_t count = r.U64();
+  // Each event: ts, sender_ts, sender_node, seq, node, tag at least.
+  const uint64_t count = r.Count<uint64_t>(33);
   std::vector<Event> events;
   events.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
@@ -874,8 +889,9 @@ std::unique_ptr<Network> RestoreImpl(const SessionSnapshot& snap,
 
   SimConfig cfg = GetSimConfig(r);
 
-  const uint32_t num_nodes = r.U32();
-  const uint32_t num_links = r.U32();
+  // Each node has an lp_of_node entry; each link a, b, bps, delay at least.
+  const uint32_t num_nodes = r.Count<uint32_t>(4);
+  const uint32_t num_links = r.Count<uint32_t>(24);
   struct RestoredLink {
     NodeId a, b;
     uint64_t bps;
@@ -894,7 +910,8 @@ std::unique_ptr<Network> RestoreImpl(const SessionSnapshot& snap,
     link.queue = GetQueueConfig(r);
   }
 
-  const uint32_t num_lps = r.U32();
+  // Each LP section: now, seq, arrival_seq, event count at least.
+  const uint32_t num_lps = r.Count<uint32_t>(32);
   std::vector<LpId> lp_of_node(num_nodes);
   for (LpId& lp : lp_of_node) {
     lp = r.U32();
@@ -913,7 +930,7 @@ std::unique_ptr<Network> RestoreImpl(const SessionSnapshot& snap,
   const uint64_t ownership_epoch = r.U64();
   const uint32_t ownership_executors = r.U32();
   (void)ownership_executors;  // Informational: the capturing kernel's domain.
-  const uint32_t ownership_lps = r.U32();
+  const uint32_t ownership_lps = r.Count<uint32_t>(4);
   std::vector<uint32_t> owners(ownership_lps);
   for (uint32_t& o : owners) {
     o = r.U32();
@@ -1008,7 +1025,7 @@ std::unique_ptr<Network> RestoreImpl(const SessionSnapshot& snap,
       ds.dropped_down = r.U64();
       dev->set_stats(ds);
       const QueueStats qs = GetQueueStats(r);
-      const uint32_t entries = r.U32();
+      const uint32_t entries = r.Count<uint32_t>(8);  // enqueue_time at least.
       std::vector<QueueEntry> q;
       q.reserve(entries);
       for (uint32_t e = 0; e < entries; ++e) {
@@ -1069,11 +1086,11 @@ std::unique_ptr<Network> RestoreImpl(const SessionSnapshot& snap,
   }
 
   FlowMonitor::Image monitor;
-  monitor.shards = r.U32();
+  monitor.shards = r.Count<uint32_t>(4);  // A record count each.
   monitor.records.resize(monitor.shards);
   monitor.deltas.resize(monitor.shards);
   for (uint32_t s = 0; s < monitor.shards; ++s) {
-    const uint32_t count = r.U32();
+    const uint32_t count = r.Count<uint32_t>(20);  // id, src, dst, bytes.
     monitor.records[s].reserve(count);
     for (uint32_t i = 0; i < count; ++i) {
       monitor.records[s].push_back(GetFlowRecord(r));
@@ -1087,12 +1104,12 @@ std::unique_ptr<Network> RestoreImpl(const SessionSnapshot& snap,
   const uint32_t num_sets = r.U32();
   for (uint32_t i = 0; i < num_sets; ++i) {
     TrafficSpec spec;
-    const uint32_t hosts = r.U32();
+    const uint32_t hosts = r.Count<uint32_t>(4);
     spec.hosts.resize(hosts);
     for (NodeId& h : spec.hosts) {
       h = r.U32();
     }
-    const uint32_t num_points = r.U32();
+    const uint32_t num_points = r.Count<uint32_t>(16);
     std::vector<EmpiricalCdf::Point> points(num_points);
     for (EmpiricalCdf::Point& pt : points) {
       pt.bytes = r.F64();
@@ -1111,7 +1128,7 @@ std::unique_ptr<Network> RestoreImpl(const SessionSnapshot& snap,
     spec.redirect_prob = r.F64();
     spec.redirect_begin = r.U32();
     auto set = std::make_shared<FlowSourceSet>(net.get(), std::move(spec));
-    const uint32_t num_sources = r.U32();
+    const uint32_t num_sources = r.Count<uint32_t>(8);
     if (net->RegisterFlowSourceSet(set) != i || set->num_sources() != num_sources) {
       SnapshotFatal("flow-source registry replay diverged from the snapshot");
     }

@@ -1,7 +1,7 @@
 // The live tuning plane: TunableStore epoch semantics, each controller rule
-// exercised on synthetic window segments, the claim-order drift replay, and
-// the network-level closed loop (published tunables take effect at the next
-// window without perturbing results).
+// exercised on synthetic window segments, and the network-level closed loop
+// (published tunables take effect at the next window without perturbing
+// results).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "src/control/controller.h"
-#include "src/control/drift_replay.h"
 #include "src/control/tunables.h"
 #include "src/net/network.h"
 #include "tests/test_util.h"
@@ -481,78 +480,6 @@ TEST(Controller, QuietWindowPublishesNothing) {
   SegmentSpec spec;  // Balanced P/S, no parks, no re-sorts.
   EXPECT_FALSE(ctl.OnWindowEnd(MakeSegment(spec)));
   EXPECT_EQ(store.epoch(), 0u);
-}
-
-// --- Claim-order drift replay ---
-
-TEST(DriftReplay, UniformCostsMakeStalenessFree) {
-  const std::vector<std::vector<uint64_t>> costs(16,
-                                                 std::vector<uint64_t>(8, 5));
-  const auto curve = ReplayClaimOrderDrift(costs, 4, {1, 2, 4, 8});
-  ASSERT_EQ(curve.size(), 4u);
-  for (const DriftReplayPoint& pt : curve) {
-    EXPECT_DOUBLE_EQ(pt.makespan_ratio, 1.0);
-  }
-  EXPECT_EQ(RecommendPeriod(curve, 0.05), 8u);
-}
-
-TEST(DriftReplay, RotatingHotspotPenalizesStaleOrders) {
-  // One heavy LP whose position rotates each round: a never-re-sorted id
-  // order schedules the heavy LP late and eats its cost on top of an already
-  // loaded worker, while the every-round oracle leads with it.
-  const uint32_t rounds = 24;
-  const uint32_t lps = 6;
-  std::vector<std::vector<uint64_t>> costs(rounds,
-                                           std::vector<uint64_t>(lps, 1));
-  for (uint32_t r = 0; r < rounds; ++r) {
-    costs[r][r % lps] = 100;
-  }
-  const auto curve = ReplayClaimOrderDrift(costs, 2, {1, rounds});
-  ASSERT_EQ(curve.size(), 2u);
-  for (const DriftReplayPoint& pt : curve) {
-    // The sorted-descending oracle is optimal here, so no order beats it.
-    EXPECT_GE(pt.makespan_ratio, 1.0);
-  }
-  EXPECT_GT(curve[1].makespan_ratio, 1.0001);
-}
-
-TEST(DriftReplay, DeterministicAndZeroRoundsSkipped) {
-  std::vector<std::vector<uint64_t>> costs(10, std::vector<uint64_t>(5, 0));
-  uint64_t x = 1;
-  for (auto& round : costs) {
-    for (auto& c : round) {
-      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-      c = x >> 60;  // Small pseudo-costs, some zero.
-    }
-  }
-  costs[3].assign(5, 0);  // A whole round with nothing to schedule.
-  const auto a = ReplayClaimOrderDrift(costs, 3, {1, 2, 4});
-  const auto b = ReplayClaimOrderDrift(costs, 3, {1, 2, 4});
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].staleness, b[i].staleness);
-    EXPECT_DOUBLE_EQ(a[i].makespan_ratio, b[i].makespan_ratio);
-  }
-
-  const std::vector<std::vector<uint64_t>> empty(8,
-                                                 std::vector<uint64_t>(4, 0));
-  const auto flat = ReplayClaimOrderDrift(empty, 2, {1, 4});
-  for (const DriftReplayPoint& pt : flat) {
-    EXPECT_DOUBLE_EQ(pt.makespan_ratio, 1.0);  // Nothing counted.
-  }
-}
-
-TEST(DriftReplay, RecommendPeriodPicksLargestWithinTolerance) {
-  const std::vector<DriftReplayPoint> curve = {
-      {1, 1.00}, {2, 1.02}, {4, 1.04}, {8, 1.50}};
-  EXPECT_EQ(RecommendPeriod(curve, 0.05), 4u);
-  EXPECT_EQ(RecommendPeriod(curve, 0.60), 8u);
-  EXPECT_EQ(RecommendPeriod(curve, 0.001), 1u);
-  // Baseline is the smallest staleness regardless of input order.
-  const std::vector<DriftReplayPoint> shuffled = {
-      {8, 1.50}, {1, 1.00}, {4, 1.04}};
-  EXPECT_EQ(RecommendPeriod(shuffled, 0.05), 4u);
-  EXPECT_EQ(RecommendPeriod({}, 0.05), 1u);
 }
 
 // --- Network-level closed loop ---

@@ -1,7 +1,7 @@
 // Hybrid (distributed) kernel: rank/lane sweeps, structure, and equivalence.
 #include <gtest/gtest.h>
 
-#include "src/kernel/hybrid.h"
+#include "src/kernel/kernel.h"
 #include "src/partition/fine_grained.h"
 #include "tests/test_util.h"
 
@@ -40,11 +40,11 @@ TEST(Hybrid, RanksPartitionEveryLpExactlyOnce) {
   kc.type = KernelType::kHybrid;
   kc.ranks = 3;
   kc.threads = 2;
-  HybridKernel kernel(kc);
-  kernel.Setup(graph, FineGrainedPartition(graph));
-  EXPECT_EQ(kernel.ranks(), 3u);
-  const auto& rank_of_lp = kernel.rank_of_lp();
-  EXPECT_EQ(rank_of_lp.size(), kernel.num_lps());
+  auto kernel = MakeKernel(kc);
+  kernel->Setup(graph, FineGrainedPartition(graph));
+  EXPECT_EQ(kernel->partition_map().num_executors(), 3u);
+  const auto& rank_of_lp = kernel->partition_map().owners();
+  EXPECT_EQ(rank_of_lp.size(), kernel->num_lps());
   std::vector<uint32_t> counts(3, 0);
   for (uint32_t r : rank_of_lp) {
     ASSERT_LT(r, 3u);

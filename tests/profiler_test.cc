@@ -1,6 +1,8 @@
 // Profiler plumbing: per-executor, per-round and per-LP records.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/stats/profiler.h"
 #include "tests/test_util.h"
 
@@ -73,23 +75,35 @@ TEST(Profiler, MergedLpRoundsSortedByRoundThenLp) {
   EXPECT_EQ(merged[2].round, 2u);
 }
 
-TEST(Profiler, UnisonRunPopulatesAllPhases) {
+// Every round kernel fills the P/S/M totals and the per-LP rows the cost
+// model and heatmaps consume: unison (2 threads), hybrid (2 ranks x 2 lanes)
+// and barrier (one rank per pod).
+// The parameter is the KernelType value.
+class ProfilerRoundKernel : public ::testing::TestWithParam<int> {};
+
+TEST_P(ProfilerRoundKernel, RunPopulatesAllPhases) {
   KernelConfig k;
-  k.type = KernelType::kUnison;
+  k.type = static_cast<KernelType>(GetParam());
   k.threads = 2;
+  k.ranks = 2;
   SimConfig cfg;
   cfg.kernel = k;
+  cfg.partition =
+      k.type == KernelType::kBarrier ? PartitionMode::kManual : PartitionMode::kAuto;
   cfg.profile = true;
   cfg.profile_per_round = true;
   cfg.profile_per_lp = true;
   Network net(cfg);
   FatTreeTopo topo = BuildFatTree(net, 4, 10000000000ULL, Time::Microseconds(3));
+  if (cfg.partition == PartitionMode::kManual) {
+    net.SetManualPartition(4, FatTreePodPartition(topo, net.num_nodes()));
+  }
   net.Finalize();
   GeneratePermutation(net, topo.hosts, 50000, Time::Zero());
   net.Run(Time::Milliseconds(5));
 
   Profiler& p = net.profiler();
-  ASSERT_EQ(p.executors().size(), 2u);
+  ASSERT_EQ(p.executors().size(), k.type == KernelType::kUnison ? 2u : 4u);
   EXPECT_GT(p.TotalProcessingNs(), 0u);
   EXPECT_GT(p.TotalSyncNs(), 0u);
   EXPECT_GT(p.rounds(), 0u);
@@ -104,6 +118,18 @@ TEST(Profiler, UnisonRunPopulatesAllPhases) {
   // events (none here) are the only exception.
   EXPECT_EQ(trace_events, net.kernel().processed_events());
 }
+
+std::string RoundKernelName(const ::testing::TestParamInfo<int>& info) {
+  static const char* const names[5] = {"sequential", "barrier", "nullmsg",
+                                       "unison", "hybrid"};
+  return names[info.param];
+}
+
+INSTANTIATE_TEST_SUITE_P(RoundKernels, ProfilerRoundKernel,
+                         ::testing::Values(static_cast<int>(KernelType::kUnison),
+                                           static_cast<int>(KernelType::kHybrid),
+                                           static_cast<int>(KernelType::kBarrier)),
+                         RoundKernelName);
 
 // The accounting invariant behind Figs. 5b/9b: summing an executor's
 // per-round P/S/M rows reproduces its end-of-run totals. PhaseAccountant

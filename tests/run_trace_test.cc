@@ -264,6 +264,29 @@ TEST(RunTraceDeterminism, IdenticalRunsProduceIdenticalClaimOrders) {
   EXPECT_EQ(a.summary.rounds, b.summary.rounds);
 }
 
+// Hybrid re-sorts each rank's claim order by the configured metric, like
+// unison: under pending-event counts the orders are a function of the
+// simulation state alone, even with profiling on, where a wall-clock metric
+// would leak measured timings into every order.
+TEST(RunTraceDeterminism, HybridPendingCountOrdersIgnoreTiming) {
+  KernelConfig k;
+  k.type = KernelType::kHybrid;
+  k.ranks = 2;
+  k.threads = 2;
+  k.metric = SchedulingMetric::kByPendingEventCount;
+  k.deterministic = true;
+  const TracedRun a = RunTraced(k, PartitionMode::kAuto, /*profile_per_round=*/true);
+  const TracedRun b = RunTraced(k, PartitionMode::kAuto, /*profile_per_round=*/true);
+
+  ASSERT_EQ(a.records.size(), b.records.size());
+  size_t resorted = 0;
+  for (size_t i = 0; i < a.records.size(); ++i) {
+    EXPECT_EQ(a.records[i].claim_order, b.records[i].claim_order) << "round " << i;
+    resorted += a.records[i].resorted ? 1 : 0;
+  }
+  EXPECT_GT(resorted, 1u);
+}
+
 TEST(RunTraceConfig, ClaimOrderRecordingCanBeDisabled) {
   KernelConfig k;
   k.type = KernelType::kUnison;

@@ -6,8 +6,10 @@
 // injection, and KernelConfig validation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -721,6 +723,29 @@ TEST(SessionStateDeathTest, SessionTimeBeforeFinalizeIsFatal) {
   SimConfig cfg;
   Network net(cfg);
   EXPECT_DEATH((void)net.session_time(), "session_time");
+}
+
+// Satellite: a corrupt element count in a snapshot fails as a Session error,
+// not as an allocation sized from garbage (an uncaught std::bad_alloc).
+TEST(SessionStateDeathTest, CorruptLinkCountIsFatal) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  KernelConfig k;
+  k.type = KernelType::kUnison;
+  k.threads = 2;
+  FatTreeScenario s = BuildFatTreeScenarioStreaming(k, PartitionMode::kAuto);
+  s.net->Run(Time::Milliseconds(1));
+  std::vector<uint8_t> bytes = Session(s.net.get()).Snapshot().bytes();
+  // The topology header is the (num_nodes, num_links) U32 pair.
+  const uint32_t header[2] = {s.net->num_nodes(),
+                              static_cast<uint32_t>(s.net->links().size())};
+  const auto* pattern = reinterpret_cast<const uint8_t*>(header);
+  auto at = std::search(bytes.begin(), bytes.end(), pattern,
+                        pattern + sizeof header);
+  ASSERT_NE(at, bytes.end());
+  const uint32_t corrupt_links = 0xFFFFFFFFu;
+  std::memcpy(&*at + sizeof(uint32_t), &corrupt_links, sizeof corrupt_links);
+  const SessionSnapshot corrupt(std::move(bytes));
+  EXPECT_DEATH((void)Session::Restore(corrupt), "Session:");
 }
 
 // Satellite: KernelConfig::Validate rejects nonsense with a clear message.

@@ -14,11 +14,17 @@
 //
 // Every generation's reduced minimum is checked against a serially computed
 // reference on both paths; a mismatch fails the bench (exit 1). Timings are
-// reported honestly for whatever machine this runs on — on hosts with fewer
-// cores than parties (this repo's reference container has one core) every
-// crossing parks in the futex and the numbers measure the scheduler more
-// than the barrier, so the pass criterion is correctness, not speedup; the
-// cores field in the JSON tells consumers which regime produced the numbers.
+// reported honestly for whatever machine this runs on. The tree barrier gets
+// the visible core count, as the kernels give it: rows with parties <= cores
+// spin across crossings; rows with more parties than cores take the adaptive
+// path, where most crossings park in the futex and the numbers measure the
+// scheduler more than the barrier. So the pass criterion is correctness, not
+// speedup; the cores field in the JSON tells consumers which regime produced
+// the numbers.
+//
+// The idle_cores object reports parks per generation for 2 parties (1 on a
+// one-core host) with no straggler. It should be ~0; the perf gate bounds it
+// to catch a barrier that parks while cores sit idle.
 //
 // With --trace=PATH, additionally runs a small traced Unison simulation
 // (k=4 fat-tree, 4 workers) and writes its run trace to PATH so CI can
@@ -124,10 +130,10 @@ SyncResult RunFlat(uint32_t parties, uint32_t gens,
   });
 }
 
-SyncResult RunTree(uint32_t parties, uint32_t gens,
+SyncResult RunTree(uint32_t parties, uint32_t cores, uint32_t gens,
                    const std::vector<uint32_t>& pin_order) {
   const std::vector<int64_t> expected = ExpectedMins(parties, gens);
-  CombiningBarrier barrier(parties);
+  CombiningBarrier barrier(parties, cores);
   SyncResult out =
       RunParties(parties, gens, pin_order, [&](uint32_t p) -> uint64_t {
         uint64_t bad = 0;
@@ -174,10 +180,10 @@ int main(int argc, char** argv) {
   const std::string trace_path = GetOpt(argc, argv, "--trace", "");
 
   const CpuTopology topo = CpuTopology::Detect();
-  const size_t cores = topo.cpus.size();
+  const uint32_t cores = static_cast<uint32_t>(topo.cpus.size());
   std::printf("Round synchronization: flat SpinBarrier+AtomicTimeMin (2 "
               "crossings + CAS line) vs\ncombining tree (1 fused crossing), "
-              "%u generations per config, %zu cores visible\n\n",
+              "%u generations per config, %u cores visible\n\n",
               gens, cores);
 
   const std::vector<uint32_t> party_counts = {1, 2, 4, 8, 16};
@@ -191,7 +197,8 @@ int main(int argc, char** argv) {
   Table t({"parties", "flat ns/gen", "tree ns/gen", "flat/tree", "tree parks",
            "spin budget"});
   for (const uint32_t parties : party_counts) {
-    Row row{parties, RunFlat(parties, gens, {}), RunTree(parties, gens, {})};
+    Row row{parties, RunFlat(parties, gens, {}),
+            RunTree(parties, cores, gens, {})};
     mismatches += row.flat.mismatches + row.tree.mismatches;
     rows.push_back(row);
     t.Row({Fmt("%u", parties), Fmt("%.0f", row.flat.ns_per_gen),
@@ -225,7 +232,7 @@ int main(int argc, char** argv) {
        {AffinityPolicy::kNone, AffinityPolicy::kCompact,
         AffinityPolicy::kScatter}) {
     const SyncResult res =
-        RunTree(aff_parties, gens, topo.PlacementOrder(policy));
+        RunTree(aff_parties, cores, gens, topo.PlacementOrder(policy));
     mismatches += res.mismatches;
     aff_rows.push_back(AffRow{AffinityPolicyName(policy), res});
     ta.Row({AffinityPolicyName(policy), Fmt("%.0f", res.ns_per_gen),
@@ -233,15 +240,25 @@ int main(int argc, char** argv) {
   }
   ta.Print();
 
+  // Parties that fit the cores, no straggler: crossings should not park.
+  const uint32_t idle_parties = std::min(2u, cores);
+  const SyncResult idle = RunTree(idle_parties, cores, gens, {});
+  mismatches += idle.mismatches;
+  const double idle_parks_per_gen =
+      static_cast<double>(idle.parks) / static_cast<double>(gens);
+  std::printf("\nIdle cores (tree, %u parties on %u cores): %.0f ns/gen, "
+              "%.4f parks/gen\n",
+              idle_parties, cores, idle.ns_per_gen, idle_parks_per_gen);
+
   const bool pass = mismatches == 0;
   std::printf("\n%s: %llu reduction mismatches across all configs "
               "(expected 0)\n",
               pass ? "PASS" : "FAIL",
               static_cast<unsigned long long>(mismatches));
   if (cores < 8) {
-    std::printf("note: %zu-core host — parties exceed cores, so ns/gen "
-                "measures futex scheduling, not barrier structure; treat "
-                "ratios as indicative only\n",
+    std::printf("note: %u-core host — rows with more parties than cores "
+                "measure futex scheduling, not barrier structure; treat "
+                "their ratios as indicative only\n",
                 cores);
   }
 
@@ -251,7 +268,7 @@ int main(int argc, char** argv) {
                  "{\n"
                  "  \"workload\": \"round boundary: barrier + min-reduction\",\n"
                  "  \"generations\": %u,\n"
-                 "  \"host_cores\": %zu,\n"
+                 "  \"host_cores\": %u,\n"
                  "  \"sweep\": [",
                  gens, cores);
     for (size_t i = 0; i < rows.size(); ++i) {
@@ -278,6 +295,11 @@ int main(int argc, char** argv) {
     }
     std::fprintf(out,
                  "\n  ],\n"
+                 "  \"idle_cores\": {\"parties\": %u, \"ns_per_gen\": %.1f, "
+                 "\"parks\": %llu, \"parks_per_gen\": %.6f},\n",
+                 idle_parties, idle.ns_per_gen,
+                 static_cast<unsigned long long>(idle.parks), idle_parks_per_gen);
+    std::fprintf(out,
                  "  \"affinity_degenerate\": %s,\n"
                  "  \"mismatches\": %llu,\n"
                  "  \"pass\": %s\n"

@@ -95,6 +95,17 @@ CpuTopology CpuTopology::Detect() {
   return topo;
 }
 
+uint32_t CountUsableCpus() {
+#if defined(__linux__)
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0 && CPU_COUNT(&mask) > 0) {
+    return static_cast<uint32_t>(CPU_COUNT(&mask));
+  }
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
 std::vector<uint32_t> CpuTopology::PlacementOrder(AffinityPolicy policy) const {
   if (policy == AffinityPolicy::kNone || cpus.empty()) {
     return {};

@@ -54,6 +54,11 @@ struct CpuTopology {
   std::vector<uint32_t> PlacementOrder(AffinityPolicy policy) const;
 };
 
+// Number of CPUs in the calling thread's allowed mask (sched_getaffinity),
+// without Detect()'s per-CPU sysfs reads; hardware_concurrency() where the
+// mask is unavailable. Never 0.
+uint32_t CountUsableCpus();
+
 // Pins the calling thread to `cpu`. Returns false where unsupported (the
 // portable no-op) or when the kernel rejects the mask.
 bool PinCurrentThreadToCpu(uint32_t cpu);

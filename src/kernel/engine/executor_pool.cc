@@ -19,8 +19,7 @@ ExecutorPool::~ExecutorPool() { Shutdown(); }
 void ExecutorPool::Shutdown() {
   if (!threads_.empty()) {
     shutdown_.store(true, std::memory_order_release);
-    epoch_.fetch_add(1, std::memory_order_acq_rel);
-    epoch_.notify_all();
+    BumpEpoch(0);
     for (auto& t : threads_) {
       t.join();
     }
@@ -28,6 +27,18 @@ void ExecutorPool::Shutdown() {
     shutdown_.store(false, std::memory_order_relaxed);
   }
   parties_ = 0;
+}
+
+void ExecutorPool::BumpEpoch(uint32_t parties) {
+  epoch_.store(PackEpoch(++seq_, parties), std::memory_order_release);
+  epoch_.notify_all();
+}
+
+uint32_t ExecutorPool::usable_cores() const {
+  // Once this pool may have pinned the caller, only the cached set still
+  // holds the pre-pin mask.
+  return topology_cached_ ? static_cast<uint32_t>(all_cpus_.size())
+                          : CountUsableCpus();
 }
 
 void ExecutorPool::EnsureTopology() {
@@ -87,20 +98,24 @@ void ExecutorPool::Ensure(uint32_t parties) {
   const uint32_t want_threads = parties == 0 ? 0 : parties - 1;
   if (want_threads <= threads_.size()) {
     // Shrink (or re-grow within the high-water set): the excess threads stay
-    // parked — Loop gates on parties_ — and nothing is retired or spawned.
+    // parked — each run's epoch carries its party count — and nothing is
+    // retired or spawned.
     return;
   }
   threads_.reserve(want_threads);
-  // New threads must baseline on the epoch as of spawn time: a thread that
-  // read the counter only after a later Run() bumped it would mistake that
-  // run's epoch for "already seen" and sleep through it.
-  const uint64_t seen = epoch_.load(std::memory_order_relaxed);
+  // New threads must baseline on the run sequence as of spawn time: a thread
+  // that read it only after a later Run() bumped it would mistake that run
+  // for "already seen" and sleep through it. The pin target travels by
+  // value for the same reason: a later ApplyPlacement rewrites cpu_order_.
+  const uint32_t seen = seq_;
   const uint64_t pin_gen = placement_gen_;
   for (uint32_t id = static_cast<uint32_t>(threads_.size()) + 1;
        id <= want_threads; ++id) {
-    threads_.emplace_back([this, id, seen, pin_gen] {
-      if (!cpu_order_.empty()) {
-        PinCurrentThreadToCpu(cpu_order_[id % cpu_order_.size()]);
+    const int64_t pin =
+        cpu_order_.empty() ? -1 : cpu_order_[id % cpu_order_.size()];
+    threads_.emplace_back([this, id, seen, pin_gen, pin] {
+      if (pin >= 0) {
+        PinCurrentThreadToCpu(static_cast<uint32_t>(pin));
       }
       Loop(id, seen, pin_gen);
     });
@@ -112,8 +127,7 @@ void ExecutorPool::Ensure(uint32_t parties) {
 void ExecutorPool::Run(std::function<void(uint32_t)> body) {
   body_ = std::move(body);
   done_.store(0, std::memory_order_release);
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
-  epoch_.notify_all();
+  BumpEpoch(parties_);
   // The caller is worker 0 for the duration of the window body; everything
   // it runs between windows (injection, summaries) is back to kNoExecutor.
   SetCurrentExecutorId(0);
@@ -128,18 +142,18 @@ void ExecutorPool::Run(std::function<void(uint32_t)> body) {
   }
 }
 
-void ExecutorPool::Loop(uint32_t id, uint64_t seen, uint64_t pin_gen) {
+void ExecutorPool::Loop(uint32_t id, uint32_t seen, uint64_t pin_gen) {
   for (;;) {
     uint64_t e = epoch_.load(std::memory_order_acquire);
-    while (e == seen) {
+    while (EpochSeq(e) == seen) {
       epoch_.wait(e, std::memory_order_acquire);
       e = epoch_.load(std::memory_order_acquire);
     }
-    seen = e;
+    seen = EpochSeq(e);
     if (shutdown_.load(std::memory_order_acquire)) {
       return;
     }
-    if (id < parties_) {  // Excess (parked) workers sit this epoch out.
+    if (id < EpochParties(e)) {  // Excess (parked) workers sit this run out.
       if (pin_gen != placement_gen_) {
         // Placement changed since this worker last ran: chase it lazily.
         // Safe to read here — ApplyPlacement writes strictly before the

@@ -57,6 +57,11 @@ class ExecutorPool {
 
   uint32_t parties() const { return parties_; }
 
+  // CPUs the caller may run on: its allowed-CPU mask, or the mask cached
+  // before this pool pinned the caller. The round kernels size their
+  // barrier's spin regime with it.
+  uint32_t usable_cores() const;
+
   // Runs body(worker_id) on all workers, the caller included as id 0.
   // Returns when every worker has finished. Not reentrant.
   void Run(std::function<void(uint32_t)> body);
@@ -71,27 +76,40 @@ class ExecutorPool {
   static uint64_t TotalThreadsSpawned();
 
  private:
+  // The run epoch word: run sequence number in the high 32 bits, that run's
+  // party count in the low 32. One acquire load gives a worker both, so a
+  // parked excess worker never reads a party count a later Ensure() wrote.
+  static uint64_t PackEpoch(uint32_t seq, uint32_t parties) {
+    return static_cast<uint64_t>(seq) << 32 | parties;
+  }
+  static uint32_t EpochSeq(uint64_t e) { return static_cast<uint32_t>(e >> 32); }
+  static uint32_t EpochParties(uint64_t e) { return static_cast<uint32_t>(e); }
+
   void Shutdown();
-  void Loop(uint32_t id, uint64_t seen, uint64_t pin_gen);
+  // Publishes run seq_+1 with `parties` and wakes every thread.
+  void BumpEpoch(uint32_t parties);
+  void Loop(uint32_t id, uint32_t seen, uint64_t pin_gen);
   // Caches the machine topology (and the full allowed-CPU set, for un-pin)
   // once, before any pin narrows the mask Detect() reads.
   void EnsureTopology();
 
-  // Active party count for the current/next Run. Plain field: workers read it
-  // only after acquiring the run epoch, which the caller bumps (release)
-  // strictly after any Ensure() write.
+  // Active party count for the next Run. Caller-only: workers learn it from
+  // the epoch word.
   uint32_t parties_ = 0;
   std::function<void(uint32_t)> body_;
+  uint32_t seq_ = 0;  // Caller-only: the last published run sequence number.
   std::atomic<uint64_t> epoch_{0};
   std::atomic<uint32_t> done_{0};
   std::atomic<bool> shutdown_{false};
   std::vector<std::thread> threads_;  // High-water set; ids 1..size().
   uint64_t threads_spawned_ = 0;
   AffinityPolicy placement_ = AffinityPolicy::kNone;
-  std::vector<uint32_t> cpu_order_;  // Pin targets; empty = no pinning.
+  // Pin targets; empty = no pinning. Active workers read it after acquiring
+  // the epoch; a spawned thread gets its first target by value.
+  std::vector<uint32_t> cpu_order_;
   // Bumped on every placement change; workers re-pin when their last-seen
-  // generation lags. Plain field under the same epoch release/acquire edge
-  // as parties_.
+  // generation lags. Plain field, written between runs, read by active
+  // workers after the epoch release/acquire edge.
   uint64_t placement_gen_ = 0;
   bool caller_pinned_ = false;
   bool topology_cached_ = false;

@@ -11,7 +11,6 @@ void RoundKernel::SetupRounds(const char* name, uint32_t domains,
   max_lanes_ = std::max(1u, max_lanes);
   lanes_ = max_lanes_;
   lanes_tunable_ = lanes_tunable;
-  barrier_ = std::make_unique<CombiningBarrier>(executors());
   executor_events_.assign(executors(), 0);
   // A borrowed pool keeps its owner's placement; only the kernel's own pool
   // takes this config's affinity. Executor ids are domain-major, so compact
@@ -21,6 +20,8 @@ void RoundKernel::SetupRounds(const char* name, uint32_t domains,
   if (active_pool_ == &pool_) {
     pool_.SetPlacement(config_.affinity);
   }
+  barrier_ = std::make_unique<CombiningBarrier>(executors(),
+                                                active_pool_->usable_cores());
   active_pool_->Ensure(executors());
 }
 
@@ -33,7 +34,8 @@ RunResult RoundKernel::Run(Time stop_time) {
   const bool resized = tuning_.parties != lanes_;
   if (resized) {
     lanes_ = tuning_.parties;
-    barrier_ = std::make_unique<CombiningBarrier>(executors());
+    barrier_ = std::make_unique<CombiningBarrier>(executors(),
+                                                  active_pool_->usable_cores());
   }
   if (active_pool_ == &pool_) {
     pool_.ApplyPlacement(tuning_.affinity);

@@ -35,36 +35,30 @@ void UnisonKernel::Setup(const TopoGraph& graph, const Partition& partition) {
   }
   ownership_movable_ = true;
   last_round_ns_.assign(num_lps(), 0);
-  claim_ = std::make_unique<ClaimCursor[]>(ranks);
   SetupRounds(hybrid ? "hybrid" : "unison", ranks, config_.threads,
               /*lanes_tunable=*/true);
+  // Every cursor is 0 between rounds: each owner resets its own after phase
+  // 1, so a lane resize or a new window finds them ready.
+  claim_ = std::make_unique<ClaimCursor[]>(MaxExecutors());
   OnOwnershipChanged();
 }
 
 void UnisonKernel::OnOwnershipChanged() {
-  // Claim orders restart id-ascending; the next prologue re-sorts them.
-  // Claim order only affects wall time, so resetting it costs nothing
-  // observable. Owned lists: unison folds owner slots modulo the live
-  // lanes; hybrid stripes each rank's LPs across that rank's lanes.
+  // Lists restart id-ascending; the next prologue re-sorts them. The order
+  // only affects wall time, so resetting it costs nothing observable.
   const bool ranked = config_.type == KernelType::kHybrid;
-  order_.clear();
-  domain_end_.clear();
   owned_lists_.assign(executors(), {});
-  for (uint32_t d = 0; d < domains_; ++d) {
-    const size_t begin = order_.size();
-    if (ranked) {
-      order_.insert(order_.end(), pmap_.owned(d).begin(), pmap_.owned(d).end());
-    } else {
-      for (uint32_t lp = 0; lp < num_lps(); ++lp) {
-        order_.push_back(lp);
+  if (ranked) {
+    for (uint32_t d = 0; d < domains_; ++d) {
+      const std::vector<uint32_t>& lps = pmap_.owned(d);
+      for (size_t i = 0; i < lps.size(); ++i) {
+        owned_lists_[d * lanes_ + i % lanes_].push_back(lps[i]);
       }
     }
-    for (size_t i = begin; i < order_.size(); ++i) {
-      const uint32_t lane =
-          ranked ? (i - begin) % lanes_ : pmap_.owner(order_[i]) % lanes_;
-      owned_lists_[d * lanes_ + lane].push_back(order_[i]);
+  } else {
+    for (uint32_t lp = 0; lp < num_lps(); ++lp) {
+      owned_lists_[pmap_.owner(lp) % lanes_].push_back(lp);
     }
-    domain_end_.push_back(static_cast<uint32_t>(order_.size()));
   }
 }
 
@@ -72,9 +66,11 @@ void UnisonKernel::Prologue() {
   if (!sync_.ComputeWindow()) {
     return;
   }
-  // Load-adaptive scheduling: re-sort each domain's claim order every
-  // sched_period rounds. The LpId tie-break makes the order a function of
-  // the costs alone, not of the previous (timing-dependent) order.
+  // Load-adaptive scheduling: re-sort every owned list each sched_period
+  // rounds, so each worker runs its own heaviest LPs first and a thief's
+  // first steal takes the heaviest left. The LpId tie-break makes the order
+  // a function of the costs alone, not of the previous (timing-dependent)
+  // order.
   const bool resort = config_.metric != SchedulingMetric::kNone &&
                       sync_.round_index() % tuning_.sched_period == 0;
   if (resort) {
@@ -84,32 +80,27 @@ void UnisonKernel::Prologue() {
     const std::vector<uint64_t>& cost =
         config_.metric == SchedulingMetric::kByPendingEventCount ? cost_buf_
                                                                  : last_round_ns_;
-    uint32_t begin = 0;
-    for (uint32_t end : domain_end_) {
-      std::sort(order_.begin() + begin, order_.begin() + end,
-                [&cost](uint32_t a, uint32_t b) {
-                  return cost[a] != cost[b] ? cost[a] > cost[b] : a < b;
-                });
-      begin = end;
+    for (std::vector<uint32_t>& list : owned_lists_) {
+      std::sort(list.begin(), list.end(), [&cost](uint32_t a, uint32_t b) {
+        return cost[a] != cost[b] ? cost[a] > cost[b] : a < b;
+      });
     }
   }
   // events_before comes from the end-of-round barrier's fused count — the
   // live cross-worker total as of the last reduction (0 for round 0).
   sync_.CommitRound(sync_.reduced_events());
-  if (resort) {
-    sync_.RecordClaimOrder(order_);
-  }
-  for (uint32_t d = 0; d < domains_; ++d) {
-    claim_[d].next.store(0, std::memory_order_relaxed);
+  if (resort && sync_.tracing()) {
+    claim_order_.clear();
+    for (const std::vector<uint32_t>& list : owned_lists_) {
+      claim_order_.insert(claim_order_.end(), list.begin(), list.end());
+    }
+    sync_.RecordClaimOrder(claim_order_);
   }
 }
 
 void UnisonKernel::RoundLoop(uint32_t worker) {
-  const uint32_t domain = worker / lanes_;
-  const uint32_t begin = domain == 0 ? 0 : domain_end_[domain - 1];
-  const uint32_t* const order = order_.data() + begin;
-  const uint32_t claimable = domain_end_[domain] - begin;
-  std::atomic<uint32_t>& claim = claim_[domain].next;
+  const uint32_t first = worker / lanes_ * lanes_;  // The domain's lane 0.
+  const uint32_t lane = worker - first;
   const std::vector<uint32_t>& owned = owned_lists_[worker];
   const bool record =
       profiler_ != nullptr && profiler_->enabled && profiler_->per_lp;
@@ -137,35 +128,51 @@ void UnisonKernel::RoundLoop(uint32_t worker) {
     acct.BeginRound(round);
     acct.CloseSync();
 
-    // Phase 1: process events. Claim the domain's LPs in scheduler priority
-    // order. The whole phase closes into P, so claim-cursor and bookkeeping
-    // overhead is attributed alongside the per-LP work it exists to
-    // distribute.
+    // Phase 1: process events. Own list first, then steal from the domain's
+    // other lanes in ring order. The whole phase closes into P, so cursor
+    // and bookkeeping overhead is attributed alongside the per-LP work it
+    // exists to distribute.
     const Time window = sync_.window();
-    for (;;) {
-      const uint32_t i = claim.fetch_add(1, std::memory_order_relaxed);
-      if (i >= claimable) {
-        break;
-      }
-      const LpId lp_id = order[i];
-      // Capped like EstimateByPendingEvents: an uncapped CountBefore is a
-      // full recursive heap walk per LP per round, and the heatmap/cost-model
-      // consumers only need "how busy", never exact counts past the cap.
-      const uint32_t pending =
-          record ? static_cast<uint32_t>(
-                       lps_[lp_id]->fel().CountBefore(window, kPendingCountCap))
-                 : 0;
-      const uint64_t lp_t0 = acct.timing() ? Profiler::NowNs() : 0;
-      const uint64_t n = lps_[lp_id]->ProcessUntil(window);
-      events += n;
-      if (acct.timing()) {
-        const uint64_t lp_ns = Profiler::NowNs() - lp_t0;
-        last_round_ns_[lp_id] = lp_ns;
-        AddLpWindowCost(lp_id, lp_ns);
-        if (record) {
-          profiler_->AddLpRound(worker,
-                                LpRoundCost{round, lp_id,
-                                            static_cast<uint32_t>(n), pending, lp_ns});
+    for (uint32_t k = 0; k < lanes_; ++k) {
+      const uint32_t victim = first + (lane + k) % lanes_;
+      const std::vector<uint32_t>& list = owned_lists_[victim];
+      const uint32_t size = static_cast<uint32_t>(list.size());
+      std::atomic<uint32_t>& claim = claim_[victim].next;
+      // The plain load keeps thieves off the RMW of a drained lane's line.
+      while (claim.load(std::memory_order_relaxed) < size) {
+        const uint32_t i = claim.fetch_add(1, std::memory_order_relaxed);
+        if (i >= size) {
+          break;
+        }
+        const LpId lp_id = list[i];
+        Lp* const lp = lps_[lp_id].get();
+        if (!record && lp->fel().NextTimestamp() >= window) {
+          // Idle this round. Its last-round time is now zero; the store is
+          // skipped when it already is, so idle LPs dirty no line.
+          if (acct.timing() && last_round_ns_[lp_id] != 0) {
+            last_round_ns_[lp_id] = 0;
+          }
+          continue;
+        }
+        // Capped like EstimateByPendingEvents: an uncapped CountBefore is a
+        // full recursive heap walk per LP per round, and the heatmap/cost-model
+        // consumers only need "how busy", never exact counts past the cap.
+        const uint32_t pending =
+            record ? static_cast<uint32_t>(
+                         lp->fel().CountBefore(window, kPendingCountCap))
+                   : 0;
+        const uint64_t lp_t0 = acct.timing() ? Profiler::NowNs() : 0;
+        const uint64_t n = lp->ProcessUntil(window);
+        events += n;
+        if (acct.timing()) {
+          const uint64_t lp_ns = Profiler::NowNs() - lp_t0;
+          last_round_ns_[lp_id] = lp_ns;
+          AddLpWindowCost(lp_id, lp_ns);
+          if (record) {
+            profiler_->AddLpRound(worker,
+                                  LpRoundCost{round, lp_id,
+                                              static_cast<uint32_t>(n), pending, lp_ns});
+          }
         }
       }
     }
@@ -173,6 +180,8 @@ void UnisonKernel::RoundLoop(uint32_t worker) {
     executor_events_[worker] = events;  // Published by the barrier for LiveEvents.
     barrier_->Arrive(worker);
     acct.CloseSync();
+    // Every claim of this round is done: re-arm the own cursor for the next.
+    claim_[worker].next.store(0, std::memory_order_relaxed);
 
     // Phase 2: global events, worker 0 only; everyone else is parked at the
     // next barrier, so direct cross-LP insertion is safe. Under speculation

@@ -16,9 +16,14 @@
 // across worker slots or ranks.
 //
 // Each round has four phases separated by barriers (Fig. 7):
-//   1. Process events  — workers claim LPs from their domain's sorted order
-//                        via an atomic cursor (LPT list scheduling) and run
-//                        each claimed LP up to the window bound.
+//   1. Process events  — each worker first runs its own owned list (the LPs
+//                        it drains and folds), in load-adaptive (LPT) order,
+//                        through its own padded cursor; then it steals from
+//                        the other lanes of its domain, never across ranks.
+//                        An LP stays on its owner's core unless that owner
+//                        falls behind. An LP with no event below the window
+//                        costs one timestamp compare: no clock reads, no
+//                        cost accounting.
 //   2. Global events   — worker 0 alone runs public-LP events that fall on
 //                        the window edge; topology changes recompute the
 //                        lookahead here.
@@ -30,8 +35,10 @@
 //                        reduction; worker 0 absorbs the tree's result and
 //                        derives the next LBTS from Eq. 2 (RoundSync).
 //
-// The only shared-state mutation on the fast path besides the barrier tree
-// is the claim cursor. The window driver, the fold, and the worker threads
+// Which worker runs an LP never changes a result: event keys order the
+// events. The only shared-state mutations on the fast path besides the
+// barrier tree are the claim cursors, and a worker touches another lane's
+// cursor only to steal. The window driver, the fold, and the worker threads
 // come from the shared engine (src/kernel/engine/).
 #ifndef UNISON_SRC_KERNEL_UNISON_H_
 #define UNISON_SRC_KERNEL_UNISON_H_
@@ -51,13 +58,13 @@ class UnisonKernel : public RoundKernel {
   void Setup(const TopoGraph& graph, const Partition& partition) override;
 
  protected:
-  // Re-splits the domains' claim orders and the per-worker owned lists from
-  // the partition map (Setup, migration, restore, lane resize).
+  // Re-splits the per-worker owned lists from the partition map (Setup,
+  // migration, restore, lane resize).
   void OnOwnershipChanged() override;
 
  private:
   // Worker 0's start-of-round bookkeeping: window computation, termination
-  // check, periodic per-domain re-sort.
+  // check, periodic re-sort of every owned list.
   void Prologue();
   void RoundLoop(uint32_t worker) override;
 
@@ -65,18 +72,18 @@ class UnisonKernel : public RoundKernel {
     std::atomic<uint32_t> next{0};
   };
 
-  // Claim orders of all domains, concatenated domain-major; domain d is
-  // order_[domain_end_[d-1], domain_end_[d]). Each domain's slice is re-sorted
-  // in place by (cost desc, id asc).
-  std::vector<uint32_t> order_;
-  std::vector<uint32_t> domain_end_;
-  std::unique_ptr<ClaimCursor[]> claim_;
-  // Per-worker LP lists for the receive and window-update phases. Phase 1
-  // keeps claiming dynamically — ownership here fixes *responsibility*
-  // (drain, min), not the load-adaptive processing order.
+  // Per-worker LP lists, executor-indexed (domain-major): worker w's home
+  // LPs, which it alone drains and folds, and which phase 1 runs first. The
+  // prologue re-sorts each list by (cost desc, id asc) every sched_period
+  // rounds. Unison folds owner slots modulo the live lanes; hybrid stripes
+  // each rank's LPs across that rank's lanes.
   std::vector<std::vector<uint32_t>> owned_lists_;
+  // claim_[w] walks owned_lists_[w]: its owner and the lanes that steal from
+  // it fetch_add it; the owner resets it after phase 1.
+  std::unique_ptr<ClaimCursor[]> claim_;
   std::vector<uint64_t> last_round_ns_;  // Per-LP ByLastRoundTime estimates.
   std::vector<uint64_t> cost_buf_;
+  std::vector<uint32_t> claim_order_;  // Trace-only: the concatenated lists.
 };
 
 }  // namespace unison

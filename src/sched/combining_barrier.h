@@ -18,11 +18,19 @@
 // the flat CAS fold regardless of arrival order — the determinism tests hold
 // with no caveats.
 //
-// The pre-park spin is adaptive: the root completer compares the number of
-// futex parks in the finished generation against the party count and resizes
-// a shared spin budget (halve when most waiters parked anyway, grow when
-// everyone made it by spinning). Cumulative parks are exposed so the trace
-// layer can report per-round park deltas.
+// The pre-park spin depends on whether every party can have a core. The
+// constructor takes the usable core count: while parties <= cores, a waiter
+// polls up to kIdleCoreSpin times, with a pause hint per poll and a yield
+// every 8 polls, before it parks. The party it waits for is running, so a
+// futex round-trip per crossing would cost more than the whole round. The
+// spin stays bounded, and its yields hand the CPU over when other processes
+// crowd the host. When parties exceed the cores (or the count is unknown,
+// 0), a waiter's spinning steals the CPU the straggler needs, so the budget
+// is adaptive: the root completer compares the futex parks of the finished
+// generation against the party count and halves the budget when most
+// waiters parked anyway, or doubles it when everyone made it by spinning.
+// Cumulative parks are exposed so the trace layer can report per-round park
+// deltas.
 #ifndef UNISON_SRC_SCHED_COMBINING_BARRIER_H_
 #define UNISON_SRC_SCHED_COMBINING_BARRIER_H_
 
@@ -44,12 +52,17 @@ class CombiningBarrier {
   static constexpr uint32_t kStopFlag = 1u << 0;
   static constexpr uint32_t kSpecMissFlag = 1u << 1;
 
-  // Adaptive spin-budget bounds (iterations of the pre-park generation poll).
+  // Adaptive spin-budget bounds when parties exceed the cores (iterations of
+  // the pre-park generation poll).
   static constexpr uint32_t kMinSpin = 16;
   static constexpr uint32_t kMaxSpin = 4096;
   static constexpr uint32_t kInitialSpin = 64;
+  // Fixed pre-park spin while parties <= cores.
+  static constexpr uint32_t kIdleCoreSpin = 16384;
 
-  explicit CombiningBarrier(uint32_t parties);
+  // `cores` is the number of CPUs the parties may run on (0 = unknown, which
+  // takes the adaptive, oversubscribed path).
+  explicit CombiningBarrier(uint32_t parties, uint32_t cores = 0);
 
   CombiningBarrier(const CombiningBarrier&) = delete;
   CombiningBarrier& operator=(const CombiningBarrier&) = delete;
@@ -70,9 +83,11 @@ class CombiningBarrier {
   uint32_t reduced_flags() const { return result_flags_; }
 
   uint32_t parties() const { return parties_; }
+  // True when every party has a core, so waiters spin kIdleCoreSpin polls.
+  bool spins_on_idle_cores() const { return idle_cores_; }
   // Cumulative futex parks across all generations (trace/bench counter).
   uint64_t parks() const { return parks_.load(std::memory_order_relaxed); }
-  // Current adaptive pre-park spin budget (bench/test visibility).
+  // Current pre-park spin budget (bench/test visibility).
   uint32_t spin_budget() const {
     return spin_budget_.load(std::memory_order_relaxed);
   }
@@ -99,6 +114,7 @@ class CombiningBarrier {
   void AdaptSpin();
 
   const uint32_t parties_;
+  const bool idle_cores_;
   uint32_t num_nodes_ = 0;
   std::unique_ptr<Node[]> nodes_;
 
@@ -117,7 +133,7 @@ class CombiningBarrier {
   // tree exists precisely so that polling traffic never lands on the lines
   // arrivals are writing.
   alignas(64) std::atomic<uint32_t> generation_{0};
-  std::atomic<uint32_t> spin_budget_{kInitialSpin};
+  std::atomic<uint32_t> spin_budget_;
   std::atomic<uint64_t> parks_{0};
 };
 

@@ -3,10 +3,11 @@
 // Assigning LPs to identical cores to minimize the makespan is the multiway
 // number partitioning problem (NP-hard). Unison uses Graham's LPT rule —
 // sort jobs by descending size, each idle worker takes the next one — with a
-// worst-case approximation ratio of 4/3 − 1/(3m). At runtime the "each idle
-// worker takes the next" step is a single fetch_add on a shared cursor over
-// the sorted order, which is why scheduling costs O(n log n) for the sort and
-// nothing per claim.
+// worst-case approximation ratio of 4/3 − 1/(3m). At runtime each worker
+// sorts its own home LPs this way and walks them with its own cursor, then
+// steals from other lanes' sorted lists (src/kernel/unison.h): LPT within a
+// lane, work stealing across lanes, and LPs stay on their owner's core. The
+// sort costs O(n log n) and each claim one uncontended fetch_add.
 //
 // The offline helpers here are used by the parallel cost model and by the
 // property tests that check the 4/3 bound against brute force.

@@ -3,11 +3,13 @@
 // The load-bearing claims: the tree reduction is bit-identical to the flat
 // AtomicTimeMin CAS fold regardless of arrival order; a generation's reduced
 // values are stable for every party until it arrives for the next generation,
-// even under heavy phase skew; stop votes OR through; and the adaptive spin
-// budget stays inside its documented bounds. The skew-stress test runs under
-// TSan in CI, which is where barrier bugs actually die.
+// even under heavy phase skew; stop votes OR through; the adaptive spin
+// budget stays inside its documented bounds when parties exceed the cores;
+// and parties that fit the cores spin instead of parking. The skew-stress
+// test runs under TSan in CI, which is where barrier bugs actually die.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -15,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/kernel/engine/cpu_topology.h"
 #include "src/sched/barrier_sync.h"
 #include "src/sched/combining_barrier.h"
 
@@ -165,7 +168,10 @@ TEST(CombiningBarrier, RandomizedPhaseSkewStress) {
 
 TEST(CombiningBarrier, SpinBudgetStaysBoundedUnderForcedParking) {
   constexpr uint32_t kParties = 4;
-  CombiningBarrier b(kParties);
+  // Two cores for four parties: the oversubscribed regime, where the budget
+  // adapts.
+  CombiningBarrier b(kParties, /*cores=*/2);
+  ASSERT_FALSE(b.spins_on_idle_cores());
   // Straggler pattern: party 0 arrives ~1ms late every generation, forcing
   // the others past any spin budget into the futex. The adaptive budget must
   // walk down toward kMinSpin and never leave [kMinSpin, kMaxSpin].
@@ -188,6 +194,38 @@ TEST(CombiningBarrier, SpinBudgetStaysBoundedUnderForcedParking) {
   }
   EXPECT_GT(b.parks(), 0u);
   EXPECT_EQ(b.spin_budget(), CombiningBarrier::kMinSpin);
+}
+
+// The sibling regime: every party has a core, nobody straggles, so a waiter
+// spins past each crossing instead of parking. An adaptive 16-poll budget
+// parks on nearly every generation here. A crowded host can still preempt a
+// party for longer than any bounded spin, so the best of three attempts
+// counts; each attempt is a fresh barrier.
+TEST(CombiningBarrier, SpinsWithoutParkingWhilePartiesFitTheCores) {
+  const uint32_t cores =
+      static_cast<uint32_t>(CpuTopology::Detect().cpus.size());
+  if (cores < 2) {
+    GTEST_SKIP() << "needs two usable cores";
+  }
+  constexpr uint32_t kParties = 2;
+  constexpr uint32_t kGenerations = 20000;
+  uint64_t best = UINT64_MAX;
+  for (int attempt = 0; attempt < 3 && best >= kGenerations / 100; ++attempt) {
+    CombiningBarrier b(kParties, cores);
+    ASSERT_TRUE(b.spins_on_idle_cores());
+    std::thread other([&] {
+      for (uint32_t gen = 0; gen < kGenerations; ++gen) {
+        b.Arrive(1);
+      }
+    });
+    for (uint32_t gen = 0; gen < kGenerations; ++gen) {
+      b.Arrive(0);
+    }
+    other.join();
+    EXPECT_EQ(b.spin_budget(), CombiningBarrier::kIdleCoreSpin);
+    best = std::min(best, b.parks());
+  }
+  EXPECT_LT(best, kGenerations / 100);  // Parks per generation ~ 0.
 }
 
 }  // namespace

@@ -537,9 +537,10 @@ TEST(TuningPlane, PartiesClampToConfigDefault) {
 }
 
 // kAuto end to end: an aggressive controller config guarantees at least one
-// decision (window-shrink fires whenever any barrier time is observed), the
-// run slices itself into more windows than the caller asked for, and the
-// result is still bit-identical to the static run.
+// window-shrink decision (it fires whenever any barrier time is observed, and
+// patience 1 lets the first eligible window publish it), the run slices
+// itself into more windows than the caller asked for, and the result is still
+// bit-identical to the static run.
 TEST(TuningPlane, AutoTuningIsResultsNeutral) {
   KernelConfig kcfg;
   kcfg.type = KernelType::kUnison;
@@ -554,6 +555,7 @@ TEST(TuningPlane, AutoTuningIsResultsNeutral) {
   cfg.tuning_config.min_rounds = 1;
   cfg.tuning_config.ps_low = 1.0;  // Shrink on every window with sync time.
   cfg.tuning_config.min_window_ps = 500'000'000;  // Floor at 0.5 ms.
+  cfg.tuning_config.rule_patience = 1;
 
   Network net(cfg);
   FatTreeTopo topo = BuildFatTree(net, 4, 10'000'000'000ULL,
@@ -570,6 +572,11 @@ TEST(TuningPlane, AutoTuningIsResultsNeutral) {
 
   ASSERT_NE(net.controller(), nullptr);
   EXPECT_FALSE(net.controller()->decisions().empty());
+  bool shrank = false;
+  for (const Controller::Decision& d : net.controller()->decisions()) {
+    shrank = shrank || d.rule.find("window-shrink") != std::string::npos;
+  }
+  EXPECT_TRUE(shrank);
   EXPECT_GT(net.tunable_store().epoch(), 0u);
   // The controller bounded the horizon, so one Run() became several windows.
   EXPECT_GT(net.kernel().session_windows(), 1u);

@@ -7,6 +7,8 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/kernel/nullmsg.h"
@@ -93,6 +95,68 @@ TEST(KernelEquivalence, UnisonSchedulingMetricsAgree) {
         << "metric=" << static_cast<int>(metric);
   }
 }
+
+// Owner-first claiming under skew. Every LP starts owned by worker slot 0
+// (unison) or rank 0 (hybrid), so one lane's list holds every flow and the
+// other lanes run only what they steal. The session then shrinks the lanes
+// by one (a lane resize) and spreads half the LPs onto slot/rank 1 (a forced
+// migration). Which worker runs an LP must never show in the results.
+class SkewedClaimTest
+    : public ::testing::TestWithParam<std::tuple<KernelType, uint32_t>> {};
+
+TEST_P(SkewedClaimTest, StealingMatchesSequential) {
+  const auto [type, threads] = GetParam();
+  KernelConfig seq;
+  seq.type = KernelType::kSequential;
+  const RunOutcome want = RunFatTreeScenarioStreaming(seq, PartitionMode::kSingle);
+
+  for (SchedulingMetric metric : {SchedulingMetric::kNone,
+                                  SchedulingMetric::kByPendingEventCount,
+                                  SchedulingMetric::kByLastRoundTime}) {
+    KernelConfig k;
+    k.type = type;
+    k.threads = threads;
+    k.ranks = 2;
+    k.metric = metric;
+    FatTreeScenario s = BuildFatTreeScenarioStreaming(k, PartitionMode::kAuto);
+    Kernel& kernel = s.net->kernel();
+    std::vector<LpMove> all_home;
+    std::vector<LpMove> spread;
+    for (uint32_t lp = 0; lp < kernel.num_lps(); ++lp) {
+      all_home.push_back({lp, 0});
+      if (lp % 2 == 1) {
+        spread.push_back({lp, 1});
+      }
+    }
+    kernel.StageMigrations(all_home);
+    s.net->Run(Time::Milliseconds(1));
+
+    Tunables t = s.net->tunable_store().Get();
+    t.parties = threads - 1;
+    s.net->tunable_store().Publish(t);
+    s.net->Run(Time::Milliseconds(3));
+    EXPECT_EQ(kernel.window_tuning().parties, threads - 1);
+
+    kernel.StageMigrations(spread);
+    s.net->Run(Time::Milliseconds(5));
+
+    const RunOutcome got = OutcomeOf(*s.net);
+    const int m = static_cast<int>(metric);
+    EXPECT_EQ(got.events, want.events) << "metric=" << m;
+    EXPECT_EQ(got.fingerprint, want.fingerprint) << "metric=" << m;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KernelThreads, SkewedClaimTest,
+    ::testing::Combine(::testing::Values(KernelType::kUnison, KernelType::kHybrid),
+                       ::testing::Values(2u, 3u, 4u)),
+    [](const ::testing::TestParamInfo<SkewedClaimTest::ParamType>& info) {
+      return std::string(std::get<0>(info.param) == KernelType::kUnison
+                             ? "unison"
+                             : "hybrid2") +
+             "_t" + std::to_string(std::get<1>(info.param));
+    });
 
 // --- Kernel mechanics on synthetic events ---
 
@@ -242,6 +306,46 @@ TEST(KernelMechanics, OverflowBoxDeliversToUnwiredLpUntilRewire) {
   kernel->Run(Time::Milliseconds(1));
   EXPECT_EQ(delivered.load(), 107);
   EXPECT_NE(kernel->lp(0)->FindOutbox(3), nullptr);
+}
+
+TEST(KernelMechanics, IdleLpsAccrueNoWindowCost) {
+  // Four nodes, links 0-1 and 2-3, one LP per node. One event chain
+  // ping-pongs between nodes 0 and 1 for the whole run; nodes 2 and 3 never
+  // hold an event below any round's window. ByLastRoundTime turns per-LP
+  // timing on, so the busy LPs accrue cost and the idle ones must accrue
+  // exactly none: the round skips them before any clock read.
+  TopoGraph graph;
+  graph.num_nodes = 4;
+  graph.edges.push_back(TopoEdge{0, 1, Time::Microseconds(1), true});
+  graph.edges.push_back(TopoEdge{2, 3, Time::Microseconds(1), true});
+
+  struct PingPong {
+    Kernel* kernel;
+    void Hop(NodeId node, Time at) {
+      kernel->ScheduleOnNode(node, at, [this, node, at] {
+        Hop(1 - node, at + Time::Microseconds(1));
+      });
+    }
+  };
+  for (KernelType type : {KernelType::kUnison, KernelType::kHybrid}) {
+    KernelConfig kc;
+    kc.type = type;
+    kc.threads = 2;
+    kc.ranks = 2;
+    kc.metric = SchedulingMetric::kByLastRoundTime;
+    auto kernel = MakeKernel(kc);
+    kernel->Setup(graph, FineGrainedPartition(graph));
+    ASSERT_EQ(kernel->num_lps(), 4u);
+    PingPong chain{kernel.get()};
+    chain.Hop(0, Time::Microseconds(1));
+    kernel->Run(Time::Microseconds(200));
+
+    EXPECT_GT(kernel->rounds(), 100u);
+    const std::vector<uint64_t>& cost = *kernel->ownership_view().lp_cost_ns;
+    EXPECT_GT(cost[kernel->LpOfNode(0)] + cost[kernel->LpOfNode(1)], 0u);
+    EXPECT_EQ(cost[kernel->LpOfNode(2)], 0u);
+    EXPECT_EQ(cost[kernel->LpOfNode(3)], 0u);
+  }
 }
 
 TEST(KernelMechanics, DisconnectedGraphRunsIndependently) {

@@ -40,7 +40,7 @@
 
 #include "bench/bench_util.h"
 #include "src/kernel/engine/cpu_topology.h"
-#include "src/sched/barrier_sync.h"
+#include "tests/barrier_sync.h"
 #include "src/sched/combining_barrier.h"
 
 using namespace unison;

@@ -1,21 +1,23 @@
 // Pooled in-memory window checkpoint for speculative execution.
 //
 // Speculation (DESIGN.md §3k) lets the round kernels run past the Eq. 2 LBTS
-// bound and roll back on a causality miss. The rollback target is a slimmed,
-// no-disk variant of the USNP session snapshot captured at the window
-// boundary: mutable model state only (LP clocks + FELs, device/queue/TCP
-// state, monitor counters, link up/delay), skipping everything immutable
-// within one Run() window (topology encode, SimConfig, CDF specs, session
-// accumulators). The byte buffer is pooled — capture clears it but keeps its
-// capacity, so steady-state windows re-serialize into already-owned storage
-// with no allocation once the high-water mark is reached.
+// bound and roll back on a causality miss. The rollback target is the
+// dynamic section of a USNP session snapshot captured at the window
+// boundary: mutable model state only (link up/delay, LP clocks + FELs,
+// device/queue/TCP state, monitor counters, flow-source streams), without
+// the static section a window cannot change (SimConfig, topology, CDF
+// specs, session accumulators). The byte buffer is pooled — capture clears
+// it but keeps its capacity, so steady-state windows re-serialize into
+// already-owned storage with no allocation once the high-water mark is
+// reached.
 //
-// The serialization itself lives in src/net/session.cc (it reuses the
-// snapshot writer/reader helpers); the kernel layer sees only the two hooks
-// installed by Network::Finalize. Capture may refuse (return false) when the
-// session holds state the format cannot represent (lambda events such as
-// progress tickers); the kernel then falls back to conservative execution for
-// that window — speculation is an optimization, never a requirement.
+// The serialization itself lives in src/net/session.cc (the same dynamic
+// walk a snapshot writes, and the same in-place apply a restore runs); the
+// kernel layer sees only the two hooks installed by Network::Finalize.
+// Capture may refuse (return false) when the session holds state the format
+// cannot represent (lambda events such as progress tickers); the kernel then
+// falls back to conservative execution for that window — speculation is an
+// optimization, never a requirement.
 #ifndef UNISON_SRC_KERNEL_ENGINE_SPEC_CHECKPOINT_H_
 #define UNISON_SRC_KERNEL_ENGINE_SPEC_CHECKPOINT_H_
 

@@ -228,7 +228,8 @@ void Network::MaybeAutoCheckpoint() {
   if (++windows_since_checkpoint_ < config_.kernel.auto_checkpoint_every) {
     return;
   }
-  if (!SessionSerializable(*this)) {
+  const std::optional<SessionSnapshot> snap = Session(this).TrySnapshot();
+  if (!snap) {
     // A non-serializable boundary (e.g. a progress ticker pending): leave
     // the counter saturated so every subsequent boundary retries until one
     // is clean, instead of silently sliding the whole cadence.
@@ -236,7 +237,7 @@ void Network::MaybeAutoCheckpoint() {
     return;
   }
   windows_since_checkpoint_ = 0;
-  Session(this).Snapshot().SaveTo(config_.auto_checkpoint_path);
+  snap->SaveTo(config_.auto_checkpoint_path);
 }
 
 RunResult Network::Run(Time stop) {

@@ -4,10 +4,14 @@
 // A scenario sweep that varies only post-t_k conditions (a failed link,
 // different RED/ECN thresholds, extra injected load) used to pay the full
 // [0, t_k) warm-up once per branch. Session::Snapshot captures the complete
-// session state at a window boundary — every LP's future event list and
-// tie-break counters, model state (TCP connections, queue occupancies and
-// RED marker state, streaming flow-source RNGs), statistics, and the
-// kernel's session accumulators — into a versioned in-memory buffer.
+// session state at a window boundary into a versioned in-memory buffer (USNP
+// v5) of two sections. The static section holds what no window can change:
+// config, topology, partition, tunables, ownership, the kernel's session
+// accumulators and the flow-source specs. The dynamic section holds every
+// LP's future event list and tie-break counters, model state (TCP
+// connections, queue occupancies and RED marker state, streaming
+// flow-source RNGs) and statistics; it is byte for byte the speculation
+// window checkpoint below, written and applied by the same code.
 // Session::Fork materializes a fresh Network from it; each branch then
 // diverges via the normal session API (InjectTraffic, Network::FailLink,
 // ForkOptions::mutate_queue) and runs to its own horizon.
@@ -40,6 +44,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -94,6 +99,11 @@ class Session {
   // phase would do identically.
   SessionSnapshot Snapshot();
 
+  // Snapshot() without the fatal: nullopt when the session holds state the
+  // format cannot represent (a pending progress ticker, DV routing). The
+  // auto-checkpoint path skips such boundaries.
+  std::optional<SessionSnapshot> TrySnapshot();
+
   // Rebuilds an independent Network from `snap`, sharing the parent's warm
   // executor pool per `opts`. The fork's next Run() continues exactly where
   // the captured session paused; its RunSummary carries
@@ -111,21 +121,21 @@ class Session {
 
 // --- Window checkpoints for speculative execution (DESIGN.md §3k) ---
 //
-// A slimmed, no-disk variant of the USNP snapshot, shared-serialization but
-// different contract: it captures only what speculative rounds can mutate
-// within one Run() window — LP clocks/counters/FELs, per-node device, queue,
-// RED and TCP endpoint state, the sharded FlowMonitor, streaming flow-source
-// RNG cursors, and per-link up/delay (a global may flip a link mid-window) —
-// and restores *in place* on the same finalized Network. Everything a full
-// snapshot re-encodes but a window cannot change (topology shape, SimConfig,
-// CDF specs, tunables, ownership, session accumulators) is skipped, which is
-// what makes capture cheap enough to run at every window boundary.
+// The window checkpoint is the dynamic section of a USNP snapshot, byte for
+// byte: what speculative rounds can mutate within one Run() window — per-link
+// up/delay (a global may flip a link mid-window), LP clocks/counters/FELs,
+// per-node device, queue, RED and TCP endpoint state, the sharded
+// FlowMonitor, streaming flow-source RNG cursors. It restores *in place* on
+// the same finalized Network, through the same apply a snapshot restore
+// runs. The static section (SimConfig, topology, partition, tunables,
+// ownership, session accumulators, CDF specs) is skipped, which is what
+// makes capture cheap enough to run at every window boundary.
 
 // Serializes the checkpoint into `out` (cleared, capacity kept — the pooled
 // buffer lives in SpecCheckpoint). Returns false, leaving the session
-// untouched, when the state is not representable (lambda events such as
-// progress tickers, control-payload packets, DV routing) — the kernel then
-// runs the window conservatively.
+// untouched and `out` empty, when the state is not representable (lambda
+// events such as progress tickers, control-payload packets, DV routing) —
+// the kernel then runs the window conservatively.
 bool CaptureWindowCheckpoint(Network& net, std::vector<uint8_t>* out);
 
 // Rolls the live session back to the captured state. Requires the same
@@ -133,12 +143,6 @@ bool CaptureWindowCheckpoint(Network& net, std::vector<uint8_t>* out);
 // (which a speculation abort guarantees: misses latch between rounds, after
 // all mailboxes drained).
 void RestoreWindowCheckpoint(Network& net, const std::vector<uint8_t>& buf);
-
-// True when the session's live state fits the USNP snapshot format — the
-// same predicate Snapshot() enforces fatally, as a query. Used by the
-// auto-checkpoint path to skip boundaries where a snapshot would abort
-// (e.g. a progress-report ticker pending in the public FEL).
-bool SessionSerializable(Network& net);
 
 }  // namespace unison
 

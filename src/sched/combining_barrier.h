@@ -1,7 +1,8 @@
 // Combining-tree barrier with a fused reduction riding the arrival pass.
 //
-// The flat SpinBarrier funnels every arrival through one generation word and
-// the window update through a second global CAS line (AtomicTimeMin), so each
+// A flat barrier (the SpinBarrier + AtomicTimeMin reference pair in
+// tests/barrier_sync.h) funnels every arrival through one generation word and
+// the window update through a second global CAS line, so each
 // phase costs P round-trips on two contended cache lines. Here arrivals climb
 // a fan-in-4 tree of cache-line-aligned nodes instead: each party writes its
 // partial reduction — {min next-event timestamp, event count, stop flags} —

@@ -207,20 +207,6 @@ FlowMonitor::Image FlowMonitor::SaveImage() const {
   return image;
 }
 
-void FlowMonitor::RestoreImage(const Image& image) {
-  if (image.shards != shards_.size()) {
-    MonitorFatal(
-        "RestoreImage shard-count mismatch; the restored network must be "
-        "finalized with the same executor count as the snapshot source");
-  }
-  for (const auto& shard : shards_) {
-    if (shard->count != 0) {
-      MonitorFatal("RestoreImage into a monitor that already has flows");
-    }
-  }
-  RestoreImageInPlace(image);
-}
-
 void FlowMonitor::RestoreImageInPlace(const Image& image) {
   if (image.shards != shards_.size()) {
     MonitorFatal(

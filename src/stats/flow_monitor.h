@@ -175,10 +175,7 @@ class FlowMonitor {
 
   // Full monitor state for session snapshots: per-shard records (in slot
   // order) and pending window deltas, plus the merged session totals. Save
-  // from a quiescent context; Restore only into a monitor whose shards are
-  // configured to the same count and still empty (fatal otherwise — flow ids
-  // embed the shard/slot split, so a mismatched restore would corrupt every
-  // outstanding id).
+  // from a quiescent context.
   struct Image {
     uint32_t shards = 0;
     std::vector<std::vector<FlowRecord>> records;  // [shard][slot].
@@ -187,13 +184,13 @@ class FlowMonitor {
     uint32_t windows_merged = 0;
   };
   Image SaveImage() const;
-  void RestoreImage(const Image& image);
-  // Speculation-rollback variant: restores into a monitor that already holds
-  // flows, overwriting slots and truncating each shard's count back to the
-  // image's. Valid only when the live state is a superset of the image —
-  // which a rollback guarantees: speculative rounds can only have *appended*
-  // records (slots are never reused), so rewinding count + overwriting the
-  // surviving slots reproduces the captured monitor exactly.
+  // Restores into a monitor configured to the same shard count (fatal
+  // otherwise — flow ids embed the shard/slot split, so a mismatched restore
+  // would corrupt every outstanding id): a freshly restored network's empty
+  // monitor, or the live one a speculation miss rolls back. The rollback
+  // case overwrites slots and truncates each shard's count back to the
+  // image's, which is exact because speculative rounds only ever *append*
+  // records (slots are never reused).
   void RestoreImageInPlace(const Image& image);
 
  private:

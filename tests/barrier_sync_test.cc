@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "src/kernel/engine/cpu_topology.h"
-#include "src/sched/barrier_sync.h"
+#include "tests/barrier_sync.h"
 #include "src/sched/combining_barrier.h"
 
 namespace unison {

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "src/core/rng.h"
-#include "src/sched/barrier_sync.h"
+#include "tests/barrier_sync.h"
 #include "src/sched/lpt.h"
 
 namespace unison {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -472,6 +473,27 @@ TEST(SessionFork, FailLinkAndQueueMutationDivergeDeterministically) {
 
 // --- Live tuning plane ---
 
+// The window checkpoint is the dynamic section of a snapshot, written by one
+// walk and applied by one restore: a fork's checkpoint equals its parent's
+// byte for byte, under every kernel.
+TEST(SessionFork, ForkDynamicStateEqualsParent) {
+  for (const KernelCase& kc : AllKernels()) {
+    SCOPED_TRACE(kc.name);
+    FatTreeScenario parent =
+        BuildFatTreeScenarioStreaming(kc.config, kc.partition);
+    parent.net->Run(Time::Milliseconds(1));
+    parent.net->Run(Time::Milliseconds(2));
+    Session session(parent.net.get());
+    const std::unique_ptr<Network> fork = session.Fork(session.Snapshot());
+    std::vector<uint8_t> parent_state;
+    std::vector<uint8_t> fork_state;
+    ASSERT_TRUE(CaptureWindowCheckpoint(*parent.net, &parent_state));
+    ASSERT_TRUE(CaptureWindowCheckpoint(*fork, &fork_state));
+    EXPECT_GT(parent_state.size(), 0u);
+    EXPECT_TRUE(parent_state == fork_state);
+  }
+}
+
 class ControllerTransparency : public ::testing::TestWithParam<int> {};
 
 // The controller-transparency matrix: every kernel, tuning off vs an
@@ -667,6 +689,63 @@ TEST(SpeculationRollback, ForcedMissRollsBackAndStaysBitIdentical) {
   EXPECT_TRUE(spec_digest == off_digest);
 }
 
+// A pending ad-hoc lambda event (the progress ticker) is not representable:
+// every window checkpoint capture declines, so the run stays conservative
+// and matches speculation=off, and no auto-checkpoint file is written while
+// the ticker is pending. A ticker-free control run proves the captures
+// would otherwise happen.
+TEST(SpeculationDecline, PendingTickerDeclinesCaptureAndAutoCheckpoint) {
+  KernelConfig k;
+  k.type = KernelType::kUnison;
+  k.threads = 2;
+  const std::string path =
+      ::testing::TempDir() + "unison_decline_ckpt_test.usnp";
+  std::remove(path.c_str());
+  const auto run = [&](SimConfig cfg, bool ticker) {
+    cfg.kernel = k;
+    cfg.seed = 1;
+    auto net = std::make_unique<Network>(cfg);
+    FatTreeTopo topo =
+        BuildFatTree(*net, 4, 10'000'000'000ULL, Time::Microseconds(3));
+    net->Finalize();
+    if (ticker) {
+      net->EnableProgressReport(Time::Microseconds(100), [](Time, uint64_t) {});
+    }
+    GeneratePermutation(*net, topo.hosts, 200 * 1024, Time::Zero());
+    TrafficSpec traffic;
+    traffic.hosts = topo.hosts;
+    traffic.bisection_bps = topo.bisection_bps;
+    traffic.load = 0.1;
+    traffic.duration = Time::Milliseconds(3);
+    InstallFlowSources(*net, traffic);
+    for (uint32_t w = 1; w <= 3; ++w) {
+      net->Run(Time::Milliseconds(w));
+    }
+    return net;
+  };
+
+  SimConfig off;
+  const std::unique_ptr<Network> conservative = run(off, true);
+  SimConfig spec;
+  spec.speculation = SpeculationMode::kAuto;
+  EXPECT_GE(run(spec, false)->kernel().spec_checkpoint().captures(), 1u);
+
+  spec.kernel.auto_checkpoint_every = 1;
+  spec.auto_checkpoint_path = path;
+  const std::unique_ptr<Network> declined = run(spec, true);
+  EXPECT_EQ(declined->kernel().spec_checkpoint().captures(), 0u);
+  EXPECT_EQ(declined->flow_monitor().Fingerprint(),
+            conservative->flow_monitor().Fingerprint());
+  EXPECT_EQ(declined->kernel().session_events(),
+            conservative->kernel().session_events());
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_EQ(f, nullptr) << "auto-checkpoint written while a ticker is pending";
+  if (f != nullptr) {
+    std::fclose(f);
+    std::remove(path.c_str());
+  }
+}
+
 // --- Automatic resume checkpoints ---
 
 // Satellite: auto_checkpoint_every periodically saves the session to the
@@ -746,6 +825,51 @@ TEST(SessionStateDeathTest, CorruptLinkCountIsFatal) {
   std::memcpy(&*at + sizeof(uint32_t), &corrupt_links, sizeof corrupt_links);
   const SessionSnapshot corrupt(std::move(bytes));
   EXPECT_DEATH((void)Session::Restore(corrupt), "Session:");
+}
+
+// A decoded id that would index past a live array fails as a Session error:
+// the first link's endpoint set to a node that does not exist.
+TEST(SessionStateDeathTest, CorruptLinkEndpointIsFatal) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  KernelConfig k;
+  k.type = KernelType::kUnison;
+  k.threads = 2;
+  FatTreeScenario s = BuildFatTreeScenarioStreaming(k, PartitionMode::kAuto);
+  s.net->Run(Time::Milliseconds(1));
+  std::vector<uint8_t> bytes = Session(s.net.get()).Snapshot().bytes();
+  // The (num_nodes, num_links) U32 pair is followed by the first link's
+  // endpoint a.
+  const uint32_t header[2] = {s.net->num_nodes(),
+                              static_cast<uint32_t>(s.net->links().size())};
+  const auto* pattern = reinterpret_cast<const uint8_t*>(header);
+  auto at = std::search(bytes.begin(), bytes.end(), pattern,
+                        pattern + sizeof header);
+  ASSERT_NE(at, bytes.end());
+  const uint32_t corrupt_node = 0x00FFFFFFu;
+  std::memcpy(&*at + sizeof header, &corrupt_node, sizeof corrupt_node);
+  const SessionSnapshot corrupt(std::move(bytes));
+  EXPECT_DEATH((void)Session::Restore(corrupt), "Session:");
+}
+
+// A snapshot cut short anywhere — in the static section or deep in the
+// dynamic one — fails as a Session error, never as a read past the buffer.
+TEST(SessionStateDeathTest, TruncatedSnapshotIsFatal) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  KernelConfig k;
+  k.type = KernelType::kUnison;
+  k.threads = 2;
+  FatTreeScenario s = BuildFatTreeScenarioStreaming(k, PartitionMode::kAuto);
+  s.net->Run(Time::Milliseconds(1));
+  const std::vector<uint8_t> bytes = Session(s.net.get()).Snapshot().bytes();
+  constexpr size_t kCuts = 8;
+  for (size_t i = 1; i <= kCuts; ++i) {
+    const size_t cut = bytes.size() * i / (kCuts + 1);
+    SCOPED_TRACE("cut at " + std::to_string(cut) + " of " +
+                 std::to_string(bytes.size()));
+    const SessionSnapshot truncated(
+        std::vector<uint8_t>(bytes.begin(), bytes.begin() + cut));
+    EXPECT_DEATH((void)Session::Restore(truncated), "Session:");
+  }
 }
 
 // Satellite: KernelConfig::Validate rejects nonsense with a clear message.

@@ -204,13 +204,13 @@ double RunScheduleDispatch(size_t depth, uint64_t ops, const MakeEv& make_event)
 BaselineEvent MakeBaselineEvent(const EventKey& key, uint64_t i) {
   Packet pkt = MakePacket(i);
   return BaselineEvent{key, pkt.dst,
-                       [pkt = std::move(pkt)]() mutable { g_sink += pkt.seq; }};
+                       [pkt = std::move(pkt)]() mutable { g_sink = g_sink + pkt.seq; }};
 }
 
 Event MakeInlineEvent(const EventKey& key, uint64_t i) {
   Packet pkt = MakePacket(i);
   const NodeId node = pkt.dst;
-  return Event{key, node, [pkt = std::move(pkt)]() mutable { g_sink += pkt.seq; }};
+  return Event{key, node, [pkt = std::move(pkt)]() mutable { g_sink = g_sink + pkt.seq; }};
 }
 
 // Receive-phase drain: `batch` events arrive in a mailbox vector and move
@@ -340,7 +340,7 @@ int main(int argc, char** argv) {
     struct Big {
       unsigned char blob[256] = {1};
     } big;
-    EventFn oversized = [big]() { g_sink += big.blob[0]; };
+    EventFn oversized = [big]() { g_sink = g_sink + big.blob[0]; };
     oversized();
   }
   const uint64_t oversize_fallbacks = InlineFunctionStats::alloc_fallbacks();

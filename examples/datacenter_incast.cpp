@@ -8,6 +8,7 @@
 //
 //   $ ./examples/datacenter_incast
 #include <cstdio>
+#include <optional>
 
 #include "src/unison.h"
 
@@ -41,7 +42,8 @@ IncastResult RunIncast(bool dctcp) {
     unison::InstallFlow(net, unison::FlowSpec{.src = topo.hosts[i],
                                               .dst = victim,
                                               .bytes = 256 * 1024,
-                                              .start = unison::Time::Zero()});
+                                              .start = unison::Time::Zero(),
+                                              .tcp = std::nullopt});
   }
   unison::TrafficSpec bg;
   bg.hosts = topo.hosts;

@@ -4,6 +4,7 @@
 //
 //   $ ./examples/quickstart
 #include <cstdio>
+#include <optional>
 
 #include "src/unison.h"
 
@@ -26,7 +27,8 @@ unison::RunDigest RunOnce(unison::KernelType kernel, uint32_t threads) {
   unison::InstallFlow(net, unison::FlowSpec{.src = topo.hosts[0],
                                             .dst = topo.hosts[15],
                                             .bytes = 1 << 20,
-                                            .start = unison::Time::Zero()});
+                                            .start = unison::Time::Zero(),
+                                            .tcp = std::nullopt});
   // ...plus web-search background traffic at 20% of bisection bandwidth.
   unison::TrafficSpec traffic;
   traffic.hosts = topo.hosts;

@@ -11,7 +11,7 @@ void BarrierKernel::Setup(const TopoGraph& graph, const Partition& partition) {
   // stays structural, but which LPs a rank serves is live — migrations
   // re-home LPs across the same rank set at window boundaries. Only
   // placement is tunable: the rank count is not a live knob.
-  pmap_.ResetStrided(ranks, ranks);
+  pmap_.ResetBlocked(ranks, ranks);
   ownership_movable_ = true;
   SetupRounds("barrier", /*domains=*/1, ranks, /*lanes_tunable=*/false);
 }
@@ -22,30 +22,21 @@ void BarrierKernel::RoundLoop(uint32_t rank) {
   // and no worker ever observes a mid-window move.
   const std::vector<uint32_t>& owned = pmap_.owned(rank);
   uint64_t events = 0;
-  // Rank-local mirror of sync_.round_index(); keys the accountant's
-  // executor-private per-round rows (see unison.cc for why that is safe).
-  uint32_t round = 0;
   PhaseAccountant acct(rank, sync_.profiling(), profiler_);
 
-  for (;;) {
-    // All-reduce (MPI_Allreduce analogue): each rank contributes its next
-    // event timestamp, event count, and stop vote to the barrier's fused
-    // reduction — one tree pass instead of a CAS fold plus a separate
-    // barrier word. A rank that owns no LPs (everything migrated away)
-    // contributes Max and keeps arriving: the barrier is population-fixed.
-    acct.OpenInterval();
-    Reduce(rank, Fold(owned), events);
-    if (rank == 0 && sync_.ComputeWindow()) {
-      // The reduced count is the live cross-rank total as of this barrier,
-      // so the trace's events_before stays live.
-      sync_.CommitRound(sync_.reduced_events());
-    }
-    barrier_->Arrive(rank);
-    if (sync_.done()) {
-      break;  // Termination waits stay unattributed: they have no round row.
-    }
+  // All-reduce (MPI_Allreduce analogue): each rank contributes its next
+  // event timestamp, event count, and stop vote to the barrier's fused
+  // reduction — one tree pass instead of a CAS fold plus a separate barrier
+  // word — and the reduction's completion publishes the next window. A rank
+  // that owns no LPs (everything migrated away) contributes Max and keeps
+  // arriving: the barrier is population-fixed. The opening reduction has no
+  // round row.
+  Reduce(rank, Fold(owned), events);
+  acct.OpenInterval();
+  // Rank-local mirror of sync_.round_index(); keys the accountant's
+  // executor-private per-round rows (see unison.cc for why that is safe).
+  for (uint32_t round = 0; !sync_.done(); ++round) {
     acct.BeginRound(round);
-    acct.CloseSync();
 
     // Process the owned LPs' events inside the window, in ascending LpId
     // order (the owned list's construction order — deterministic across any
@@ -73,6 +64,7 @@ void BarrierKernel::RoundLoop(uint32_t rank) {
     // simulation stop and progress reports work; stock ns-3 duplicates these
     // per rank, with the same observable effect. The surrounding barriers
     // keep the other ranks' FELs quiescent while rank 0 inserts into them.
+    // Unlike the unison round, this baseline crosses them every round.
     barrier_->Arrive(rank);
     acct.CloseSync();
     if (rank == 0) {
@@ -94,7 +86,11 @@ void BarrierKernel::RoundLoop(uint32_t rank) {
     acct.CloseMessaging();
     barrier_->Arrive(rank);
     acct.CloseSync();
-    ++round;
+
+    const FoldResult fold = Fold(owned);
+    acct.CloseMessaging();
+    Reduce(rank, fold, events);
+    acct.CloseSync();
   }
 
   executor_events_[rank] = events;

@@ -63,8 +63,6 @@ RunResult RoundKernel::Run(Time stop_time) {
     }
     sync_.SetParkBaseline(barrier_->parks());
     executor_events_.assign(executors(), 0);
-    // Seeds the first prologue of kernels that fold at the end of a round.
-    sync_.SeedMinFromLps();
 
     active_pool_->Run([this](uint32_t executor) { RoundLoop(executor); });
 
@@ -89,29 +87,52 @@ RoundKernel::FoldResult RoundKernel::Fold(const std::vector<uint32_t>& lps) cons
   fold.flags = stop_requested() ? CombiningBarrier::kStopFlag : 0;
   const bool check_spec = sync_.spec_active();
   for (uint32_t id : lps) {
-    const Lp* const lp = lps_[id].get();
-    const Time next = lp->fel().NextTimestamp();
-    fold.min_ps = std::min(fold.min_ps, next.ps());
-    if (check_spec && !next.IsMax() && next <= lp->now() &&
-        lp->now() > Time::Zero()) {
-      fold.flags |= CombiningBarrier::kSpecMissFlag;
-    }
+    FoldLp(*lps_[id], check_spec, &fold);
   }
   return fold;
 }
 
+RoundKernel::FoldResult RoundKernel::DrainAndFold(const std::vector<uint32_t>& lps) {
+  FoldResult fold;
+  fold.flags = stop_requested() ? CombiningBarrier::kStopFlag : 0;
+  const bool check_spec = sync_.spec_active();
+  for (uint32_t id : lps) {
+    Lp& lp = *lps_[id];
+    lp.DrainInboxes();
+    FoldLp(lp, check_spec, &fold);
+  }
+  return fold;
+}
+
+void RoundKernel::FoldLp(const Lp& lp, bool check_spec, FoldResult* fold) {
+  const Time next = lp.fel().NextTimestamp();
+  fold->min_ps = std::min(fold->min_ps, next.ps());
+  if (check_spec && !next.IsMax() && next <= lp.now() && lp.now() > Time::Zero()) {
+    fold->flags |= CombiningBarrier::kSpecMissFlag;
+  }
+}
+
 void RoundKernel::Reduce(uint32_t executor, FoldResult fold, uint64_t events) {
-  const uint64_t barrier_t0 =
-      executor == 0 && sync_.tracing() ? Profiler::NowNs() : 0;
-  barrier_->Arrive(executor, fold.min_ps, events, fold.flags);
-  if (executor == 0) {
-    sync_.Absorb(*barrier_);
-    if (sync_.tracing()) {
-      // Attributed to the round most recently committed (a no-op before
-      // round 0 exists).
-      sync_.RecordBarrierWait(Profiler::NowNs() - barrier_t0,
-                              barrier_->parks());
-    }
+  if (executor == 0 && sync_.tracing()) {
+    reduce_t0_ = Profiler::NowNs();
+  }
+  barrier_->Arrive(executor, fold.min_ps, events, fold.flags, &RoundKernel::EndRound,
+                   this);
+}
+
+void RoundKernel::EndRound(void* kernel) {
+  RoundKernel& self = *static_cast<RoundKernel*>(kernel);
+  RoundSync& sync = self.sync_;
+  sync.Absorb(*self.barrier_);
+  if (sync.tracing()) {
+    // Executor 0's wait from its arrival until the last party arrived,
+    // attributed to the round this reduction closes (a no-op before round 0
+    // exists). The completion's own work is not part of it.
+    sync.RecordBarrierWait(Profiler::NowNs() - self.reduce_t0_,
+                           self.barrier_->parks());
+  }
+  if (sync.ComputeWindow()) {
+    self.OpenRound();
   }
 }
 

@@ -14,7 +14,12 @@
 // The window-update fold is shared too: Fold() reduces an LP list to its
 // minimum next-event timestamp plus the stop vote and the speculation-miss
 // check, and Reduce() contributes that to the CombiningBarrier's fused
-// all-reduce, which the coordinator (executor 0) absorbs into RoundSync.
+// all-reduce. The barrier's completion step closes the round: it absorbs the
+// reduction into RoundSync, computes the next window, and opens the next
+// round (OpenRound), all before any executor is released — so the window a
+// worker reads on release is already published, with no barrier of its own.
+// A window attempt starts with one such reduction over the FELs as they
+// stand; every later round opens inside the previous round's reduction.
 #ifndef UNISON_SRC_KERNEL_ENGINE_ROUND_KERNEL_H_
 #define UNISON_SRC_KERNEL_ENGINE_ROUND_KERNEL_H_
 
@@ -69,11 +74,22 @@ class RoundKernel : public Kernel {
     uint32_t flags = 0;
   };
   FoldResult Fold(const std::vector<uint32_t>& lps) const;
+  // Fold() fused with the receive phase: drains each LP's inboxes into its
+  // FEL, then folds it, in one pass. Safe without a barrier between the two
+  // only because the caller alone drains and folds `lps` this round: no
+  // other executor writes those FELs once processing has ended.
+  FoldResult DrainAndFold(const std::vector<uint32_t>& lps);
 
   // Contributes `fold` and the executor's running event count to the
-  // end-of-round all-reduce; on release, executor 0 absorbs the reduction
-  // into sync_ (and traces the barrier wait).
+  // all-reduce that closes a round. The barrier's completion runs EndRound
+  // on whichever executor completes it; on return the next round is open, or
+  // sync_.done() is set.
   void Reduce(uint32_t executor, FoldResult fold, uint64_t events);
+
+  // Part of the reduction's completion, once ComputeWindow has opened a new
+  // round: opens the round's profiler and trace rows. Every executor is
+  // waiting at the barrier, so an override may touch any executor's state.
+  virtual void OpenRound() { sync_.CommitRound(sync_.reduced_events()); }
 
   uint32_t executors() const { return domains_ * lanes_; }
 
@@ -87,7 +103,16 @@ class RoundKernel : public Kernel {
   std::vector<uint64_t> executor_events_;
 
  private:
+  // Folds one LP's next-event timestamp and miss check into `fold`.
+  static void FoldLp(const Lp& lp, bool check_spec, FoldResult* fold);
+
+  // The reduction's completion: absorb, trace the coordinator's wait,
+  // compute the next window and open its round.
+  static void EndRound(void* kernel);
+
   const char* name_ = "";
+  // Executor 0's arrival time at the current reduction (tracing only).
+  uint64_t reduce_t0_ = 0;
   uint32_t max_lanes_ = 1;
   bool lanes_tunable_ = true;
   ExecutorPool pool_;  // Threads spawned once at Setup, reused across runs.

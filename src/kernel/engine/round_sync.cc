@@ -13,6 +13,7 @@ void RoundSync::BeginRun(const char* kernel_name, uint32_t executors, Time stop)
   lbts_ = Time::Zero();
   window_ = Time::Zero();
   done_ = false;
+  globals_due_ = false;
   reason_ = RunReason::kExhausted;
   round_index_ = 0;
   reduced_min_ps_ = INT64_MAX;
@@ -34,13 +35,6 @@ void RoundSync::BeginRun(const char* kernel_name, uint32_t executors, Time stop)
   }
   if (tracing_) {
     trace->BeginRun(kernel_name, executors, kernel_->num_lps());
-  }
-}
-
-void RoundSync::SeedMinFromLps() {
-  for (uint32_t i = 0; i < kernel_->num_lps(); ++i) {
-    reduced_min_ps_ =
-        std::min(reduced_min_ps_, kernel_->lp(i)->fel().NextTimestamp().ps());
   }
 }
 
@@ -96,6 +90,7 @@ bool RoundSync::ComputeWindow() {
     lbts_ = std::min(npub, min_next + lookahead);
   }
   window_ = std::min(lbts_, stop_);
+  globals_due_ = npub <= lbts_ && npub < stop_;
   if (spec_enabled_) {
     if (!min_next.IsMax() && !lookahead.IsMax()) {
       // Optimistic extension: up to spec_horizon_ps past the Eq. 2 bound,

@@ -13,8 +13,10 @@
 // The reduction inputs do not arrive through a shared CAS line: executors
 // contribute their partial {min, event count, flags} to the
 // CombiningBarrier's fused arrival pass (RoundKernel::Reduce), and the
-// coordinator Absorb()s the tree's published result between barriers. Every
-// method here is coordinator-only (executor 0, between barriers).
+// barrier's completion step Absorb()s the tree's published result. Every
+// method here is coordinator-only: called from that completion, which runs
+// once per round on whichever executor completes the barrier while the
+// others wait, or by executor 0 between barriers.
 #ifndef UNISON_SRC_KERNEL_ENGINE_ROUND_SYNC_H_
 #define UNISON_SRC_KERNEL_ENGINE_ROUND_SYNC_H_
 
@@ -41,14 +43,9 @@ class RoundSync {
   // a window continues the session, it does not restart it.
   void BeginRun(const char* kernel_name, uint32_t executors, Time stop);
 
-  // Seeds the reduced minimum with every LP's next event timestamp. Kernels
-  // whose workers contribute partial minima at the *end* of each round need
-  // this before the first prologue.
-  void SeedMinFromLps();
-
   // Copies the fused reduction the barrier published on its last release —
   // min next-event timestamp, summed event count, OR'd stop flags — into the
-  // coordinator's window state. Call after the reduction barrier, before
+  // coordinator's window state. Call from the reduction's completion, before
   // ComputeWindow.
   void Absorb(const CombiningBarrier& barrier);
 
@@ -69,6 +66,12 @@ class RoundSync {
   // without a valid reason() — the kernel then rolls back and re-runs the
   // window conservatively.
   bool ComputeWindow();
+
+  // Whether the public LP's next event, as ComputeWindow saw it, falls in
+  // this round's global phase (RunGlobalEvents(lbts(), stop()) would run
+  // it). A global scheduled from an LP event during the round is not seen
+  // here; the worker that scheduled it reports it (Kernel::TakeGlobalScheduled).
+  bool globals_due() const { return globals_due_; }
 
   // Arms speculation for this attempt; call right after BeginRun, only when
   // the window checkpoint was captured (Kernel::BeginSpeculativeWindow).
@@ -135,6 +138,7 @@ class RoundSync {
   // Written by the coordinator between barriers, read by every worker after
   // the next barrier; the barrier's acquire/release ordering publishes it.
   bool done_ = false;
+  bool globals_due_ = false;
   RunReason reason_ = RunReason::kExhausted;
   bool profiling_ = false;
   bool tracing_ = false;

@@ -66,7 +66,7 @@ void Kernel::Setup(const TopoGraph& graph, const Partition& partition) {
   stop_requested_ = false;
   // Trivial single-executor ownership; kernels with real executor domains
   // install theirs right after this base Setup returns.
-  pmap_.ResetStrided(partition_.num_lps, 1);
+  pmap_.ResetBlocked(partition_.num_lps, 1);
   ownership_movable_ = false;
   applied_rebalance_seq_ = 0;
   window_migrations_ = 0;
@@ -115,6 +115,12 @@ void Kernel::ScheduleOnNode(NodeId node, Time abs, EventFn fn) {
   }
 }
 
+namespace {
+// Set when this thread pushed a global from an LP event; see
+// Kernel::TakeGlobalScheduled.
+thread_local bool t_global_scheduled = false;
+}  // namespace
+
 void Kernel::ScheduleGlobal(Time abs, EventFn fn) {
   Lp* const cur = Lp::Current();
   // Global events are normally scheduled before the run or from another
@@ -123,10 +129,17 @@ void Kernel::ScheduleGlobal(Time abs, EventFn fn) {
   if (cur != nullptr && cur != public_lp_.get()) {
     std::lock_guard<std::mutex> lock(public_mu_);
     public_lp_->fel().Push(Event{cur->MakeKey(abs), kNoNode, std::move(fn)});
+    t_global_scheduled = true;
     return;
   }
   Lp* const sender = cur != nullptr ? cur : public_lp_.get();
   public_lp_->fel().Push(Event{sender->MakeKey(abs), kNoNode, std::move(fn)});
+}
+
+bool Kernel::TakeGlobalScheduled() {
+  const bool scheduled = t_global_scheduled;
+  t_global_scheduled = false;
+  return scheduled;
 }
 
 void Kernel::NotifyTopologyChanged() {

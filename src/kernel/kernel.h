@@ -141,6 +141,11 @@ class Kernel {
   // Schedules a global event on the public LP (topology change, stop, ...).
   void ScheduleGlobal(Time abs, EventFn fn);
 
+  // True when the calling thread scheduled a global from an LP event since
+  // its last call; clears the thread's flag. A round kernel that skips its
+  // global phase when nothing is due reads it at the end of processing.
+  static bool TakeGlobalScheduled();
+
   // Called from a global event after the topology changed: recomputes
   // lookahead values and adds mailbox wiring for new cut edges.
   void NotifyTopologyChanged();

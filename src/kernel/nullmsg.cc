@@ -12,7 +12,7 @@ void NullMessageKernel::Setup(const TopoGraph& graph, const Partition& partition
   Kernel::Setup(graph, partition);
   // Executor i starts out serving LP i; migrations re-home LPs across the
   // same executor set at window boundaries.
-  pmap_.ResetStrided(num_lps(), num_lps());
+  pmap_.ResetBlocked(num_lps(), num_lps());
   ownership_movable_ = true;
   channels_.clear();
   channel_of_pair_.clear();

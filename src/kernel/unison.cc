@@ -30,8 +30,8 @@ void UnisonKernel::Setup(const TopoGraph& graph, const Partition& partition) {
   } else {
     // Ownership domain = the config thread ceiling (MaxExecutors), not the
     // live worker count: a move set computed in ceiling units stays
-    // meaningful — owner slots fold modulo the live lanes in the owned lists.
-    pmap_.ResetStrided(num_lps(), std::max(1u, config_.threads));
+    // meaningful — owner slots map onto the live lanes in the owned lists.
+    pmap_.ResetBlocked(num_lps(), std::max(1u, config_.threads));
   }
   ownership_movable_ = true;
   last_round_ns_.assign(num_lps(), 0);
@@ -44,28 +44,30 @@ void UnisonKernel::Setup(const TopoGraph& graph, const Partition& partition) {
 }
 
 void UnisonKernel::OnOwnershipChanged() {
-  // Lists restart id-ascending; the next prologue re-sorts them. The order
-  // only affects wall time, so resetting it costs nothing observable.
+  // Lists restart id-ascending; the next re-sort reorders them. The order
+  // only affects wall time, so resetting it costs nothing observable. Both
+  // layouts keep runs of neighbouring LP ids on one lane, so most cut-edge
+  // mail is pushed and drained on the same core.
   const bool ranked = config_.type == KernelType::kHybrid;
   owned_lists_.assign(executors(), {});
   if (ranked) {
+    // Each rank's LPs (ascending) split into lanes_ contiguous runs.
     for (uint32_t d = 0; d < domains_; ++d) {
       const std::vector<uint32_t>& lps = pmap_.owned(d);
       for (size_t i = 0; i < lps.size(); ++i) {
-        owned_lists_[d * lanes_ + i % lanes_].push_back(lps[i]);
+        owned_lists_[d * lanes_ + i * lanes_ / lps.size()].push_back(lps[i]);
       }
     }
   } else {
+    // Owner slots map onto the live lanes in contiguous runs too.
+    const uint32_t slots = pmap_.num_executors();
     for (uint32_t lp = 0; lp < num_lps(); ++lp) {
-      owned_lists_[pmap_.owner(lp) % lanes_].push_back(lp);
+      owned_lists_[static_cast<uint64_t>(pmap_.owner(lp)) * lanes_ / slots].push_back(lp);
     }
   }
 }
 
-void UnisonKernel::Prologue() {
-  if (!sync_.ComputeWindow()) {
-    return;
-  }
+void UnisonKernel::OpenRound() {
   // Load-adaptive scheduling: re-sort every owned list each sched_period
   // rounds, so each worker runs its own heaviest LPs first and a thief's
   // first steal takes the heaviest left. The LpId tie-break makes the order
@@ -86,9 +88,7 @@ void UnisonKernel::Prologue() {
       });
     }
   }
-  // events_before comes from the end-of-round barrier's fused count — the
-  // live cross-worker total as of the last reduction (0 for round 0).
-  sync_.CommitRound(sync_.reduced_events());
+  RoundKernel::OpenRound();
   if (resort && sync_.tracing()) {
     claim_order_.clear();
     for (const std::vector<uint32_t>& list : owned_lists_) {
@@ -105,28 +105,21 @@ void UnisonKernel::RoundLoop(uint32_t worker) {
   const bool record =
       profiler_ != nullptr && profiler_->enabled && profiler_->per_lp;
   uint64_t events = 0;
-  // Worker-local round index: every worker executes the same loop iterations,
-  // so this mirrors sync_.round_index() without reading shared state. It keys
-  // the accountant's executor-private per-round rows, which lets every sync
-  // wait — including the end-of-round barrier, which overlaps worker 0's next
-  // prologue — be attributed to its round without data races.
-  uint32_t round = 0;
   PhaseAccountant acct(worker,
                        sync_.profiling() ||
                            config_.metric == SchedulingMetric::kByLastRoundTime,
                        profiler_);
+  TakeGlobalScheduled();  // Drops a flag left by another kernel's run.
 
-  for (;;) {
-    if (worker == 0) {
-      Prologue();
-    }
-    acct.OpenInterval();
-    barrier_->Arrive(worker);
-    if (sync_.done()) {
-      break;  // Termination wait stays unattributed: it has no round row.
-    }
+  // The opening reduction computes the first window; it has no round row.
+  Reduce(worker, Fold(owned), events);
+  acct.OpenInterval();
+  // Worker-local round index: every worker executes the same loop iterations,
+  // so this mirrors sync_.round_index() without reading shared state. It keys
+  // the accountant's executor-private per-round rows, which lets every sync
+  // wait be attributed to its round without data races.
+  for (uint32_t round = 0; !sync_.done(); ++round) {
     acct.BeginRound(round);
-    acct.CloseSync();
 
     // Phase 1: process events. Own list first, then steal from the domain's
     // other lanes in ring order. The whole phase closes into P, so cursor
@@ -178,44 +171,42 @@ void UnisonKernel::RoundLoop(uint32_t worker) {
     }
     acct.CloseProcessing();
     executor_events_[worker] = events;  // Published by the barrier for LiveEvents.
-    barrier_->Arrive(worker);
+    // Phase 2 runs only when a global is due: worker 0's window saw one, or
+    // an event on this worker scheduled one. Every worker reads the same
+    // reduced flags, so all of them take the same crossings.
+    uint32_t flags = TakeGlobalScheduled() ? CombiningBarrier::kGlobalFlag : 0;
+    if (worker == 0 && sync_.globals_due()) {
+      flags |= CombiningBarrier::kGlobalFlag;
+    }
+    barrier_->Arrive(worker, INT64_MAX, 0, flags);
     acct.CloseSync();
     // Every claim of this round is done: re-arm the own cursor for the next.
     claim_[worker].next.store(0, std::memory_order_relaxed);
 
-    // Phase 2: global events, worker 0 only; everyone else is parked at the
-    // next barrier, so direct cross-LP insertion is safe. Under speculation
-    // the guard skips the phase when a straggler global landed below the
-    // covered bound — the next prologue latches the miss.
-    if (worker == 0) {
-      if (sync_.SpecAllowsGlobals()) {
-        events += RunGlobalEvents(sync_.lbts(), sync_.stop());
+    // Phase 2: global events, worker 0 only; everyone else waits at the
+    // barrier, so direct cross-LP insertion is safe. Under speculation the
+    // guard skips the phase when a straggler global landed below the covered
+    // bound — the next window computation latches the miss.
+    if ((barrier_->reduced_flags() & CombiningBarrier::kGlobalFlag) != 0) {
+      if (worker == 0) {
+        if (sync_.SpecAllowsGlobals()) {
+          events += RunGlobalEvents(sync_.lbts(), sync_.stop());
+        }
+        acct.CloseProcessing();
       }
-      acct.CloseProcessing();
+      barrier_->Arrive(worker);
+      acct.CloseSync();
     }
-    barrier_->Arrive(worker);
-    acct.CloseSync();
 
-    // Phase 3: receive events from mailboxes — intra-rank and inter-rank
-    // alike. The owned lists partition all LPs, so every inbox is drained
-    // exactly once per round, with no shared cursor.
-    for (uint32_t id : owned) {
-      lps_[id]->DrainInboxes();
-    }
-    acct.CloseMessaging();
-    // Every drain must land before anyone reads FELs for the window update:
-    // a min computed on a half-drained FEL could overshoot the next LBTS.
-    barrier_->Arrive(worker);
-    acct.CloseSync();
-
-    // Phase 4: update the window — fold the owned list and contribute it to
-    // the end-of-round barrier's fused reduction. No shared CAS line: the
-    // tree combine IS the all-reduce.
-    const FoldResult fold = Fold(owned);
+    // Phases 3 and 4: receive and fold. The owned lists partition all LPs,
+    // so every inbox is drained exactly once per round, with no shared
+    // cursor, and each LP is folded by the worker that drained it. The
+    // reduction's completion computes the next window; no shared CAS line:
+    // the tree combine IS the all-reduce.
+    const FoldResult fold = DrainAndFold(owned);
     acct.CloseMessaging();
     Reduce(worker, fold, events);
     acct.CloseSync();
-    ++round;
   }
 
   executor_events_[worker] = events;

@@ -73,6 +73,7 @@ class Writer {
   void Count(uint32_t n, size_t /*min_bytes*/) { U32(n); }
   void Id(uint32_t v, uint32_t /*bound*/) { U32(v); }
   void Node(NodeId v) { U32(v); }
+  void FlowId(uint32_t v) { U32(v); }
   void set_num_nodes(uint32_t /*n*/) {}
 
   std::vector<uint8_t> Take() { return std::move(buf_); }
@@ -152,6 +153,26 @@ class Reader {
   void Node(NodeId& v) { v = Node(); }
   void set_num_nodes(uint32_t n) { num_nodes_ = n; }
 
+  // A flow id. Its bound is the FlowMonitor image, which decodes after the
+  // packets and TCP endpoints that carry ids, so the ids are collected here
+  // and checked by CheckFlowIds once the image is applied.
+  uint32_t FlowId() {
+    const uint32_t v = Get<uint32_t>();
+    flow_ids_.push_back(v);
+    return v;
+  }
+  void FlowId(uint32_t& v) { v = FlowId(); }
+  void CheckFlowIds(const FlowMonitor& monitor) {
+    for (uint32_t id : flow_ids_) {
+      if (!monitor.Contains(id)) {
+        SnapshotFatal("decoded flow id " + std::to_string(id) +
+                      " names no restored flow record (corrupt file or "
+                      "version skew)");
+      }
+    }
+    flow_ids_.clear();
+  }
+
   void ExpectEnd() {
     if (remaining() != 0) {
       SnapshotFatal("trailing bytes after the snapshot payload (corrupt buffer)");
@@ -176,6 +197,7 @@ class Reader {
   const std::vector<uint8_t>& buf_;
   size_t pos_ = 0;
   uint32_t num_nodes_ = 0;
+  std::vector<uint32_t> flow_ids_;
 };
 
 // --- One encoder per struct ---
@@ -280,7 +302,11 @@ void Io(auto& a, Is<Kernel::SessionState> auto&& s) {
 
 void Io(auto& a, Is<Packet> auto&& p) {
   a.U8(p.kind);
-  a.U32(p.flow_id);
+  if (p.kind == PacketKind::kControl) {
+    a.U32(p.flow_id);  // Routing traffic: no flow record behind it.
+  } else {
+    a.FlowId(p.flow_id);
+  }
   a.Node(p.src);
   a.Node(p.dst);
   a.U32(p.size_bytes);
@@ -600,7 +626,7 @@ Event GetEvent(Reader& r, Network& net) {
       return ev;
     }
     case ModelEventTag::kFlowStart: {
-      FlowStartEvent e{&net, r.U32(), r.Node(), r.Node(), r.U64(), {}};
+      FlowStartEvent e{&net, r.FlowId(), r.Node(), r.Node(), r.U64(), {}};
       Io(r, e.cfg);
       ev.fn = std::move(e);
       return ev;
@@ -837,7 +863,7 @@ void ApplyDynamic(Network& net, Reader& r) {
     node.ClearTcpEndpoints();
     const uint32_t senders = r.Count(156);  // id, dst, size, config, image.
     for (uint32_t i = 0; i < senders; ++i) {
-      const uint32_t flow_id = r.U32();
+      const uint32_t flow_id = r.FlowId();
       const NodeId dst = r.Node();
       const uint64_t bytes = r.U64();
       TcpConfig tcp;
@@ -850,7 +876,7 @@ void ApplyDynamic(Network& net, Reader& r) {
     }
     const uint32_t receivers = r.Count(20);  // id, src, rcv_nxt, ooo count.
     for (uint32_t i = 0; i < receivers; ++i) {
-      const uint32_t flow_id = r.U32();
+      const uint32_t flow_id = r.FlowId();
       const NodeId src = r.Node();
       TcpReceiver::Image im;
       Io(r, im);
@@ -863,6 +889,7 @@ void ApplyDynamic(Network& net, Reader& r) {
   FlowMonitor::Image monitor;
   Io(r, monitor);
   net.flow_monitor().RestoreImageInPlace(monitor);
+  r.CheckFlowIds(net.flow_monitor());
 
   if (r.U32() != net.num_flow_source_sets()) {
     SnapshotFatal("snapshot flow-source registry diverged from the session");

@@ -16,15 +16,17 @@ void PartitionMap::Reset(std::vector<uint32_t> owner_of_lp,
   RebuildOwned();
 }
 
-void PartitionMap::ResetStrided(uint32_t num_lps, uint32_t num_executors) {
-  num_executors_ = std::max(1u, num_executors);
-  owner_of_lp_.resize(num_lps);
-  for (uint32_t lp = 0; lp < num_lps; ++lp) {
-    owner_of_lp_[lp] = lp % num_executors_;
+void PartitionMap::ResetBlocked(uint32_t num_lps, uint32_t num_executors) {
+  const uint32_t slots = std::max(1u, num_executors);
+  std::vector<uint32_t> owner(num_lps);
+  for (uint32_t s = 0; s < slots; ++s) {
+    const uint32_t end = static_cast<uint32_t>(uint64_t{s + 1} * num_lps / slots);
+    for (uint32_t lp = static_cast<uint32_t>(uint64_t{s} * num_lps / slots); lp < end;
+         ++lp) {
+      owner[lp] = s;
+    }
   }
-  staged_.clear();
-  epoch_ = 0;
-  RebuildOwned();
+  Reset(std::move(owner), slots);
 }
 
 void PartitionMap::Stage(const std::vector<LpMove>& moves) {

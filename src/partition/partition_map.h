@@ -61,8 +61,13 @@ class PartitionMap {
   // `num_executors`; staged moves are discarded.
   void Reset(std::vector<uint32_t> owner_of_lp, uint32_t num_executors);
 
-  // Convenience: the identity-ish default owner(lp) = lp % num_executors.
-  void ResetStrided(uint32_t num_lps, uint32_t num_executors);
+  // Contiguous default: executor s owns the run of LP ids
+  // [s * num_lps / num_executors, (s + 1) * num_lps / num_executors). LP ids
+  // follow node ids (Algorithm 1 numbers an LP by its lowest node), and the
+  // topology builders emit nodes in locality order, so neighbouring LPs land
+  // on one executor and most cut-edge mail never leaves its core. With one
+  // LP per executor this is the identity; with one executor, everything on 0.
+  void ResetBlocked(uint32_t num_lps, uint32_t num_executors);
 
   // Queues moves for the next ApplyStaged. Later moves for the same LP win.
   // Callable any time (the stage set is session-thread-private); nothing

@@ -73,11 +73,15 @@ CombiningBarrier::CombiningBarrier(uint32_t parties, uint32_t cores)
 }
 
 void CombiningBarrier::Arrive(uint32_t party, int64_t min_ps, uint64_t count,
-                              uint32_t flags) {
+                              uint32_t flags, Completion completion,
+                              void* context) {
   if (parties_ <= 1) {
     result_min_ = min_ps;
     result_count_ = count;
     result_flags_ = flags;
+    if (completion != nullptr) {
+      completion(context);
+    }
     generation_.fetch_add(1, std::memory_order_release);
     return;
   }
@@ -114,12 +118,15 @@ void CombiningBarrier::Arrive(uint32_t party, int64_t min_ps, uint64_t count,
     }
     node->remaining.store(node->arity, std::memory_order_relaxed);
     if (node->parent < 0) {
-      // Root completed: publish the reduction, retune the spin budget, and
-      // release everyone with one broadcast.
+      // Root completed: publish the reduction, retune the spin budget, run
+      // the completion, and release everyone with one broadcast.
       result_min_ = m;
       result_count_ = c;
       result_flags_ = f;
       AdaptSpin();
+      if (completion != nullptr) {
+        completion(context);
+      }
       generation_.fetch_add(1, std::memory_order_release);
       generation_.notify_all();
       return;

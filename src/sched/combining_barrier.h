@@ -32,6 +32,15 @@
 // waiters parked anyway, or doubles it when everyone made it by spinning.
 // Cumulative parks are exposed so the trace layer can report per-round park
 // deltas.
+//
+// Like std::barrier's completion step, an arrival may name a completion: a
+// plain function pointer plus a context. The root completer runs it once per
+// generation, after it publishes the reduction (so the completion can read
+// reduced_*()) and before it releases the parties, while every other party is
+// still waiting. Whatever the completion writes is published to every party
+// by the release, so it can do serial work that would otherwise need a
+// barrier of its own on each side: the round kernels compute the next window
+// there. Every party of one generation must pass the same completion.
 #ifndef UNISON_SRC_SCHED_COMBINING_BARRIER_H_
 #define UNISON_SRC_SCHED_COMBINING_BARRIER_H_
 
@@ -50,8 +59,14 @@ class CombiningBarrier {
   // speculative window is active (an inbound arrival at or below an LP's
   // already-advanced clock) ORs it into its end-of-round arrival, and the
   // coordinator's next RoundSync::ComputeWindow latches the miss.
+  // kGlobalFlag marks a round whose global phase has work: the unison
+  // round crosses its global-phase barrier only when some party set it.
   static constexpr uint32_t kStopFlag = 1u << 0;
   static constexpr uint32_t kSpecMissFlag = 1u << 1;
+  static constexpr uint32_t kGlobalFlag = 1u << 2;
+
+  // Serial step run by the root completer; see the file comment.
+  using Completion = void (*)(void* context);
 
   // Adaptive spin-budget bounds when parties exceed the cores (iterations of
   // the pre-park generation poll).
@@ -75,8 +90,10 @@ class CombiningBarrier {
   // generation's reduction. Blocks until all parties have arrived; on return
   // the reduced_*() accessors hold the generation's combined values, which
   // stay valid until this party arrives for the next generation (nobody can
-  // complete a newer generation without this party's arrival).
-  void Arrive(uint32_t party, int64_t min_ps, uint64_t count, uint32_t flags);
+  // complete a newer generation without this party's arrival). A non-null
+  // `completion` runs once, on the root completer, before the release.
+  void Arrive(uint32_t party, int64_t min_ps, uint64_t count, uint32_t flags,
+              Completion completion = nullptr, void* context = nullptr);
 
   // Reduction results of the last completed generation.
   int64_t reduced_min() const { return result_min_; }

@@ -116,6 +116,14 @@ class FlowMonitor {
   // stable for the monitor's lifetime.
   uint32_t Register(NodeId src, NodeId dst, uint64_t bytes, Time start);
 
+  // Whether `id` names a registered record. flow() and the hooks below
+  // index by id without a check; a restored snapshot validates its decoded
+  // ids with this first.
+  bool Contains(uint32_t id) const {
+    const uint32_t shard = id >> slot_bits_;
+    return shard < shards_.size() && (id & slot_mask_) < shards_[shard]->count;
+  }
+
   FlowRecord& flow(uint32_t id) { return Locate(id); }
   const FlowRecord& flow(uint32_t id) const {
     return const_cast<FlowMonitor*>(this)->Locate(id);

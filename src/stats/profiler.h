@@ -11,8 +11,8 @@
 // needed; readers only inspect the data after Run() returns. The per-round
 // matrices are stored executor-major for exactly this reason: each executor
 // appends to its own row vector with an explicit round index, so every
-// accounted nanosecond — including waits at the end-of-round barrier, which
-// overlap the coordinator's next prologue — can be attributed to its round
+// accounted nanosecond — including waits at the end-of-round barrier, whose
+// completion opens the next round — can be attributed to its round
 // without sharing a row across threads. The round-major views used by benches
 // are built on demand after the run.
 #ifndef UNISON_SRC_STATS_PROFILER_H_

@@ -5,7 +5,8 @@
 // values are stable for every party until it arrives for the next generation,
 // even under heavy phase skew; stop votes OR through; the adaptive spin
 // budget stays inside its documented bounds when parties exceed the cores;
-// and parties that fit the cores spin instead of parking. The skew-stress
+// parties that fit the cores spin instead of parking; and a completion runs
+// exactly once per generation, after the reduction and before the release. The skew-stress
 // test runs under TSan in CI, which is where barrier bugs actually die.
 #include <gtest/gtest.h>
 
@@ -105,6 +106,62 @@ TEST(CombiningBarrier, StopVotesOrAcrossParties) {
     t.join();
   }
   EXPECT_EQ(wrong.load(), 0);
+}
+
+// The completion is the round kernels' window computation: it must run once
+// per generation, see the published reduction, and finish before any party
+// returns. It writes plain fields, so each party checking them after Arrive
+// is a data race unless the release really orders the completion before it
+// (TSan in CI). Occasional sleeps and yields vary which party completes.
+TEST(CombiningBarrier, CompletionRunsOncePerGenerationBeforeRelease) {
+  constexpr uint32_t kGenerations = 2000;
+  struct Seen {
+    CombiningBarrier* barrier = nullptr;
+    uint32_t calls = 0;
+    int64_t min = 0;
+    uint64_t count = 0;
+  };
+  for (uint32_t parties : {1u, 2u, 5u}) {
+    CombiningBarrier b(parties);
+    Seen seen{&b};
+    const CombiningBarrier::Completion complete = [](void* context) {
+      Seen& s = *static_cast<Seen*>(context);
+      ++s.calls;
+      s.min = s.barrier->reduced_min();
+      s.count = s.barrier->reduced_count();
+    };
+    std::atomic<uint64_t> mismatches{0};
+    auto body = [&](uint32_t p) {
+      std::mt19937 rng(p * 104729 + parties);
+      for (uint32_t gen = 0; gen < kGenerations; ++gen) {
+        if (rng() % 64 == 0) {
+          std::this_thread::sleep_for(std::chrono::microseconds(rng() % 50));
+        } else if (rng() % 4 == 0) {
+          std::this_thread::yield();
+        }
+        b.Arrive(p, ContribMin(gen, p), ContribCount(gen, p), 0, complete, &seen);
+        int64_t want_min = INT64_MAX;
+        uint64_t want_count = 0;
+        for (uint32_t q = 0; q < parties; ++q) {
+          want_min = std::min(want_min, ContribMin(gen, q));
+          want_count += ContribCount(gen, q);
+        }
+        if (seen.calls != gen + 1 || seen.min != want_min || seen.count != want_count) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    };
+    std::vector<std::thread> threads;
+    for (uint32_t p = 1; p < parties; ++p) {
+      threads.emplace_back(body, p);
+    }
+    body(0);
+    for (auto& t : threads) {
+      t.join();
+    }
+    EXPECT_EQ(mismatches.load(), 0u) << "parties=" << parties;
+    EXPECT_EQ(seen.calls, kGenerations) << "parties=" << parties;
+  }
 }
 
 // Randomized phase skew: parties sleep random microseconds between arrivals

@@ -6,15 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/kernel/nullmsg.h"
 #include "src/kernel/unison.h"
 #include "src/partition/fine_grained.h"
 #include "src/partition/manual.h"
+#include "src/topo/torus.h"
 #include "tests/test_util.h"
 
 namespace unison {
@@ -158,6 +161,69 @@ INSTANTIATE_TEST_SUITE_P(
              "_t" + std::to_string(std::get<1>(info.param));
     });
 
+// --- LP ownership layout ---
+
+// Cut edges whose two LPs sit in different workers' owned lists: each such
+// edge's mail is pushed on one core and drained on another.
+uint32_t CrossWorkerCutEdges(Network& net) {
+  const auto& kernel = dynamic_cast<const UnisonKernel&>(net.kernel());
+  std::vector<uint32_t> worker_of(kernel.num_lps(), UINT32_MAX);
+  for (uint32_t w = 0; w < kernel.owned_lists().size(); ++w) {
+    for (uint32_t lp : kernel.owned_lists()[w]) {
+      worker_of[lp] = w;
+    }
+  }
+  uint32_t cross = 0;
+  for (const CutEdge& e : net.partition().cut_edges) {
+    EXPECT_NE(worker_of[e.a], UINT32_MAX);
+    cross += worker_of[e.a] != worker_of[e.b] ? 1 : 0;
+  }
+  return cross;
+}
+
+struct OwnershipCase {
+  KernelType type;
+  uint32_t threads;
+  uint32_t ranks;
+  uint32_t torus_max;    // Bound on the 16x16 torus's 512 cut links.
+  uint32_t fattree_max;  // Bound on the k=8 fat-tree's 384 cut links.
+};
+
+// The partition numbers LPs by their lowest node, and the builders emit
+// nodes in locality order, so contiguous owned lists keep most neighbours on
+// one worker. A strided layout puts every other neighbour elsewhere: 256 of
+// the torus's 512 cut links at 2 lanes, and 192 of the fat-tree's 384.
+TEST(UnisonOwnership, NeighbouringLpsShareAWorker) {
+  const OwnershipCase cases[] = {
+      {KernelType::kUnison, 2, 1, 32, 72},
+      {KernelType::kUnison, 4, 1, 64, 120},
+      {KernelType::kHybrid, 2, 2, 64, 120},
+  };
+  for (const OwnershipCase& c : cases) {
+    SCOPED_TRACE(std::string(c.type == KernelType::kUnison ? "unison" : "hybrid") +
+                 " threads=" + std::to_string(c.threads));
+    SimConfig cfg;
+    cfg.kernel.type = c.type;
+    cfg.kernel.threads = c.threads;
+    cfg.kernel.ranks = c.ranks;
+    cfg.partition = PartitionMode::kAuto;
+    {
+      Network net(cfg);
+      BuildTorus2D(net, 16, 16, 10'000'000'000ULL, Time::Nanoseconds(100));
+      net.Finalize();
+      ASSERT_EQ(net.partition().cut_edges.size(), 512u);
+      EXPECT_LE(CrossWorkerCutEdges(net), c.torus_max);
+    }
+    {
+      Network net(cfg);
+      BuildFatTree(net, 8, 100'000'000'000ULL, Time::Microseconds(3));
+      net.Finalize();
+      ASSERT_EQ(net.partition().cut_edges.size(), 384u);
+      EXPECT_LE(CrossWorkerCutEdges(net), c.fattree_max);
+    }
+  }
+}
+
 // --- Kernel mechanics on synthetic events ---
 
 TEST(KernelMechanics, GlobalEventsInterleaveDeterministically) {
@@ -187,6 +253,69 @@ TEST(KernelMechanics, GlobalEventsInterleaveDeterministically) {
   const std::vector<int> seq = run(KernelType::kSequential, 1);
   EXPECT_EQ(seq, (std::vector<int>{2, 1, 3}));
   EXPECT_EQ(run(KernelType::kUnison, 2), seq);
+}
+
+TEST(KernelMechanics, LpScheduledGlobalAtWindowEdge) {
+  // Node 0's event at 5 us schedules a global at 6 us from inside its LP —
+  // the serialized public-FEL path — and 6 us is that round's LBTS (5 us +
+  // the 1 us lookahead). No window computation saw the global coming, yet it
+  // must run in that same round's global phase. The global inserts node 1's
+  // event at 6 us directly, and that event mails node 0 an event at 7 us.
+  // The unison round runs its global phase only when some worker reports a
+  // global, so a missed report would show as an extra round here (or as a
+  // race under TSan). No other node event sits at or after 6 us: the
+  // sequential kernel runs a global scheduled mid-batch only once its LP
+  // batch ends, so it is an oracle only for such a scenario.
+  TopoGraph graph;
+  graph.num_nodes = 2;
+  graph.edges.push_back(TopoEdge{0, 1, Time::Microseconds(1), true});
+
+  struct Outcome {
+    std::vector<int> order;
+    uint64_t events = 0;
+    uint64_t rounds = 0;
+  };
+  auto run = [&graph](KernelType type, uint32_t threads) {
+    KernelConfig kc;
+    kc.type = type;
+    kc.threads = threads;
+    kc.ranks = 2;
+    auto kernel = MakeKernel(kc);
+    kernel->Setup(graph, type == KernelType::kSequential ? SingleLpPartition(graph)
+                                                         : RangePartition(graph, 2));
+    Outcome out;
+    std::vector<int>* order = &out.order;
+    Kernel* kp = kernel.get();
+    kernel->ScheduleOnNode(0, Time::Microseconds(5), [order, kp] {
+      order->push_back(1);
+      kp->ScheduleGlobal(Time::Microseconds(6), [order, kp] {
+        order->push_back(2);
+        kp->ScheduleOnNode(1, Time::Microseconds(6), [order, kp] {
+          order->push_back(3);
+          kp->ScheduleOnNode(0, Time::Microseconds(7), [order] { order->push_back(4); });
+        });
+      });
+    });
+    kernel->Run(Time::Milliseconds(1));
+    out.events = kernel->processed_events();
+    out.rounds = kernel->rounds();
+    return out;
+  };
+
+  const Outcome seq = run(KernelType::kSequential, 1);
+  EXPECT_EQ(seq.order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(seq.events, 4u);
+  const std::pair<KernelType, uint32_t> parallel[] = {
+      {KernelType::kUnison, 2}, {KernelType::kUnison, 4}, {KernelType::kHybrid, 2}};
+  for (const auto& [type, threads] : parallel) {
+    const Outcome par = run(type, threads);
+    SCOPED_TRACE("type=" + std::to_string(static_cast<int>(type)) +
+                 " threads=" + std::to_string(threads));
+    EXPECT_EQ(par.order, seq.order);
+    EXPECT_EQ(par.events, seq.events);
+    // Rounds at 5 us (node 0, then the global), 6 us (node 1) and 7 us.
+    EXPECT_EQ(par.rounds, 3u);
+  }
 }
 
 TEST(KernelMechanics, StopTimeExcludesBoundaryEvents) {

@@ -21,20 +21,28 @@ namespace {
 
 // --- PartitionMap unit tests ---
 
-TEST(PartitionMap, ResetStridedAssignsRoundRobinAtEpochZero) {
+TEST(PartitionMap, ResetBlockedAssignsContiguousRunsAtEpochZero) {
   PartitionMap map;
-  map.ResetStrided(6, 2);
+  map.ResetBlocked(6, 2);
   EXPECT_EQ(map.num_lps(), 6u);
   EXPECT_EQ(map.num_executors(), 2u);
   EXPECT_EQ(map.epoch(), 0u);  // Reset never consumes an epoch.
-  EXPECT_EQ(map.owners(), (std::vector<uint32_t>{0, 1, 0, 1, 0, 1}));
-  EXPECT_EQ(map.owned(0), (std::vector<uint32_t>{0, 2, 4}));
-  EXPECT_EQ(map.owned(1), (std::vector<uint32_t>{1, 3, 5}));
+  EXPECT_EQ(map.owners(), (std::vector<uint32_t>{0, 0, 0, 1, 1, 1}));
+  EXPECT_EQ(map.owned(0), (std::vector<uint32_t>{0, 1, 2}));
+  EXPECT_EQ(map.owned(1), (std::vector<uint32_t>{3, 4, 5}));
+  // Uneven splits keep the runs within one LP of each other; the two
+  // degenerate layouts are the identity and everything on executor 0.
+  map.ResetBlocked(7, 3);
+  EXPECT_EQ(map.owners(), (std::vector<uint32_t>{0, 0, 1, 1, 2, 2, 2}));
+  map.ResetBlocked(4, 4);
+  EXPECT_EQ(map.owners(), (std::vector<uint32_t>{0, 1, 2, 3}));
+  map.ResetBlocked(3, 1);
+  EXPECT_EQ(map.owners(), (std::vector<uint32_t>{0, 0, 0}));
 }
 
 TEST(PartitionMap, ApplyStagedFoldsTargetsAndBumpsEpochOnce) {
   PartitionMap map;
-  map.ResetStrided(4, 2);  // Owners {0, 1, 0, 1}.
+  map.Reset({0, 1, 0, 1}, 2);
   map.Stage({{0, 1}, {1, 1}, {2, 5}, {0, 0}});
   // lp 0: staged twice, later move wins (stays on 0 — a no-op).
   // lp 1: target equals the current owner — a no-op.
@@ -53,7 +61,7 @@ TEST(PartitionMap, ApplyStagedFoldsTargetsAndBumpsEpochOnce) {
 
 TEST(PartitionMap, StagedMovesBeyondTheLpRangeAreIgnored) {
   PartitionMap map;
-  map.ResetStrided(2, 2);
+  map.Reset({0, 1}, 2);
   map.Stage({{9, 0}});
   EXPECT_EQ(map.ApplyStaged(), 0u);
   EXPECT_EQ(map.epoch(), 0u);
@@ -61,7 +69,7 @@ TEST(PartitionMap, StagedMovesBeyondTheLpRangeAreIgnored) {
 
 TEST(PartitionMap, MigrateLpIsTheImmediateSingleMovePath) {
   PartitionMap map;
-  map.ResetStrided(3, 3);  // Owners {0, 1, 2}.
+  map.Reset({0, 1, 2}, 3);
   EXPECT_TRUE(map.MigrateLp(0, 2));
   EXPECT_EQ(map.owner(0), 2u);
   EXPECT_EQ(map.epoch(), 1u);
@@ -73,7 +81,7 @@ TEST(PartitionMap, MigrateLpIsTheImmediateSingleMovePath) {
 
 TEST(PartitionMap, RestoreReinstallsOwnersAndEpoch) {
   PartitionMap map;
-  map.ResetStrided(4, 2);
+  map.Reset({0, 1, 0, 1}, 2);
   map.Restore({1, 1, 0, 3}, 7);  // 3 folds modulo 2 to executor 1.
   EXPECT_EQ(map.epoch(), 7u);
   EXPECT_EQ(map.owners(), (std::vector<uint32_t>{1, 1, 0, 1}));

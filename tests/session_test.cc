@@ -851,6 +851,51 @@ TEST(SessionStateDeathTest, CorruptLinkEndpointIsFatal) {
   EXPECT_DEATH((void)Session::Restore(corrupt), "Session:");
 }
 
+// A decoded flow id names a FlowMonitor record only by its shard and slot
+// bits, so one that names no restored record must fail as a Session error
+// before any event indexes the monitor with it: a TCP sender's id set to a
+// shard past the configured ones.
+TEST(SessionStateDeathTest, CorruptFlowIdIsFatal) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  KernelConfig k;
+  k.type = KernelType::kUnison;
+  k.threads = 2;
+  FatTreeScenario s = BuildFatTreeScenarioStreaming(k, PartitionMode::kAuto);
+  s.net->Run(Time::Microseconds(50));  // Flows still in flight.
+  std::vector<uint8_t> bytes = Session(s.net.get()).Snapshot().bytes();
+  // A sender's wire layout opens with its flow id, destination and size.
+  const TcpSender* sender = nullptr;
+  uint32_t id = 0;
+  for (NodeId n = 0; n < s.net->num_nodes() && sender == nullptr; ++n) {
+    for (const auto& [flow, tcp] : s.net->node(n).senders()) {
+      if (sender == nullptr || flow < id) {
+        sender = tcp.get();
+        id = flow;
+      }
+    }
+  }
+  ASSERT_NE(sender, nullptr);
+  uint8_t pattern[16];
+  const uint32_t dst = sender->dst();
+  const uint64_t size = s.net->flow_monitor().flow(id).bytes;
+  std::memcpy(pattern, &id, 4);
+  std::memcpy(pattern + 4, &dst, 4);
+  std::memcpy(pattern + 8, &size, 8);
+  auto at = std::search(bytes.begin(), bytes.end(), pattern, pattern + sizeof pattern);
+  ASSERT_NE(at, bytes.end());
+  ASSERT_GT(s.net->flow_monitor().num_shards(), 1u);
+  const uint32_t corrupt_id = 0xFFFFFFF0u;  // Shard bits past every shard.
+  ASSERT_FALSE(s.net->flow_monitor().Contains(corrupt_id));
+  std::memcpy(&*at, &corrupt_id, sizeof corrupt_id);
+  const SessionSnapshot corrupt(std::move(bytes));
+  EXPECT_DEATH(
+      {
+        std::unique_ptr<Network> net = Session::Restore(corrupt);
+        net->Run(Time::Milliseconds(2));
+      },
+      "Session:");
+}
+
 // A snapshot cut short anywhere — in the static section or deep in the
 // dynamic one — fails as a Session error, never as a read past the buffer.
 TEST(SessionStateDeathTest, TruncatedSnapshotIsFatal) {

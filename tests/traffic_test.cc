@@ -68,14 +68,6 @@ TEST(Cdf, UniformIsCachedAndStable) {
   }
 }
 
-struct GeneratorFixture {
-  SimConfig cfg;
-  explicit GeneratorFixture(double incast = 0.0, uint64_t seed = 1) {
-    cfg.kernel.type = KernelType::kSequential;
-    cfg.seed = seed;
-  }
-};
-
 TEST(Generator, LoadApproximatesTarget) {
   SimConfig cfg;
   cfg.kernel.type = KernelType::kSequential;

@@ -131,6 +131,7 @@ int main(int argc, char** argv) {
     std::fprintf(out,
                  "{\n"
                  "  \"workload\": \"fork sweep vs cold scenario sweep\",\n"
+                 "  %s,\n"
                  "  \"fat_tree_k\": %u,\n"
                  "  \"load\": %.2f,\n"
                  "  \"quick\": %s,\n"
@@ -146,7 +147,8 @@ int main(int argc, char** argv) {
                  "  \"fingerprints_match\": %s,\n"
                  "  \"pass\": %s\n"
                  "}\n",
-                 kFatTreeK, kLoad, quick ? "true" : "false", branches,
+                 HostJson().c_str(), kFatTreeK, kLoad,
+                 quick ? "true" : "false", branches,
                  kHorizonMs, kSnapMs, static_cast<unsigned long long>(cold_ns),
                  static_cast<unsigned long long>(warm_ns),
                  static_cast<unsigned long long>(snapshot_ns),

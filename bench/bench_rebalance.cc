@@ -123,9 +123,7 @@ int main(int argc, char** argv) {
   SimConfig tuned = base;
   tuned.tuning = TuningMode::kAuto;
   tuned.tuning_config.min_rounds = 1;
-  tuned.tuning_config.ps_low = 1.0;  // Always keep the observation cadence up.
-  tuned.tuning_config.initial_window_ps = 500'000'000;  // 0.5 ms slices.
-  tuned.tuning_config.min_window_ps = 250'000'000;
+  tuned.tuning_config.window_ps = 500'000'000;  // 0.5 ms slices.
   // A hot pod is persistent, not noisy: trip the rule early and let it
   // re-fire if the first move set was not enough.
   tuned.tuning_config.rebalance_imbalance_high = 0.02;

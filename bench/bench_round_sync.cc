@@ -1,6 +1,5 @@
 // Round-synchronization microbenchmark: flat barrier + CAS min-reduction vs
-// the combining-tree barrier with the fused reduction, across party counts
-// and placement policies.
+// the combining-tree barrier with the fused reduction, across party counts.
 //
 // Each generation models one kernel round boundary. The flat protocol is what
 // the round kernels shipped with before the tree: every party CASes its
@@ -19,8 +18,8 @@
 // spin across crossings; rows with more parties than cores take the adaptive
 // path, where most crossings park in the futex and the numbers measure the
 // scheduler more than the barrier. So the pass criterion is correctness, not
-// speedup; the cores field in the JSON tells consumers which regime produced
-// the numbers.
+// speedup; the host block in the JSON (cores, CPU model, build type, git
+// sha) tells consumers which regime produced the numbers.
 //
 // The idle_cores object reports parks per generation for 2 parties (1 on a
 // one-core host) with no straggler. It should be ~0; the perf gate bounds it
@@ -39,7 +38,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/kernel/engine/cpu_topology.h"
 #include "tests/barrier_sync.h"
 #include "src/sched/combining_barrier.h"
 
@@ -77,23 +75,14 @@ struct SyncResult {
   uint32_t spin_budget = 0;  // Tree only.
 };
 
-// Spawns parties-1 helper threads (party 0 is the caller, as in the kernels),
-// optionally pinning party p to pin_order[p % size]. Times the caller's loop.
+// Spawns parties-1 helper threads (party 0 is the caller, as in the kernels).
+// Times the caller's loop.
 template <typename Body>
-SyncResult RunParties(uint32_t parties, uint32_t gens,
-                      const std::vector<uint32_t>& pin_order, const Body& body) {
+SyncResult RunParties(uint32_t parties, uint32_t gens, const Body& body) {
   std::vector<std::thread> threads;
   std::vector<uint64_t> mismatches(parties, 0);
   for (uint32_t p = 1; p < parties; ++p) {
-    threads.emplace_back([&, p] {
-      if (!pin_order.empty()) {
-        PinCurrentThreadToCpu(pin_order[p % pin_order.size()]);
-      }
-      mismatches[p] = body(p);
-    });
-  }
-  if (!pin_order.empty()) {
-    PinCurrentThreadToCpu(pin_order[0]);
+    threads.emplace_back([&, p] { mismatches[p] = body(p); });
   }
   const uint64_t t0 = Profiler::NowNs();
   mismatches[0] = body(0);
@@ -109,13 +98,12 @@ SyncResult RunParties(uint32_t parties, uint32_t gens,
   return out;
 }
 
-SyncResult RunFlat(uint32_t parties, uint32_t gens,
-                   const std::vector<uint32_t>& pin_order) {
+SyncResult RunFlat(uint32_t parties, uint32_t gens) {
   const std::vector<int64_t> expected = ExpectedMins(parties, gens);
   SpinBarrier barrier(parties);
   AtomicTimeMin min;
   min.Reset();
-  return RunParties(parties, gens, pin_order, [&](uint32_t p) -> uint64_t {
+  return RunParties(parties, gens, [&](uint32_t p) -> uint64_t {
     uint64_t bad = 0;
     for (uint32_t gen = 0; gen < gens; ++gen) {
       min.Update(Contrib(gen, p));
@@ -130,12 +118,11 @@ SyncResult RunFlat(uint32_t parties, uint32_t gens,
   });
 }
 
-SyncResult RunTree(uint32_t parties, uint32_t cores, uint32_t gens,
-                   const std::vector<uint32_t>& pin_order) {
+SyncResult RunTree(uint32_t parties, uint32_t cores, uint32_t gens) {
   const std::vector<int64_t> expected = ExpectedMins(parties, gens);
   CombiningBarrier barrier(parties, cores);
   SyncResult out =
-      RunParties(parties, gens, pin_order, [&](uint32_t p) -> uint64_t {
+      RunParties(parties, gens, [&](uint32_t p) -> uint64_t {
         uint64_t bad = 0;
         for (uint32_t gen = 0; gen < gens; ++gen) {
           barrier.Arrive(p, Contrib(gen, p), 1, 0);
@@ -179,8 +166,7 @@ int main(int argc, char** argv) {
   const uint32_t gens = static_cast<uint32_t>(std::stoul(gens_arg));
   const std::string trace_path = GetOpt(argc, argv, "--trace", "");
 
-  const CpuTopology topo = CpuTopology::Detect();
-  const uint32_t cores = static_cast<uint32_t>(topo.cpus.size());
+  const uint32_t cores = CountUsableCpus();
   std::printf("Round synchronization: flat SpinBarrier+AtomicTimeMin (2 "
               "crossings + CAS line) vs\ncombining tree (1 fused crossing), "
               "%u generations per config, %u cores visible\n\n",
@@ -197,8 +183,7 @@ int main(int argc, char** argv) {
   Table t({"parties", "flat ns/gen", "tree ns/gen", "flat/tree", "tree parks",
            "spin budget"});
   for (const uint32_t parties : party_counts) {
-    Row row{parties, RunFlat(parties, gens, {}),
-            RunTree(parties, cores, gens, {})};
+    Row row{parties, RunFlat(parties, gens), RunTree(parties, cores, gens)};
     mismatches += row.flat.mismatches + row.tree.mismatches;
     rows.push_back(row);
     t.Row({Fmt("%u", parties), Fmt("%.0f", row.flat.ns_per_gen),
@@ -211,38 +196,9 @@ int main(int argc, char** argv) {
   }
   t.Print();
 
-  // Placement policies, tree barrier at the largest swept party count. With
-  // one visible core every policy degenerates to the same pin, so the rows
-  // measure scheduler noise, not placement — the JSON says so explicitly
-  // (affinity_degenerate) instead of letting consumers read three identical
-  // policies as a null result. Multi-core hosts get the real comparison.
-  const uint32_t aff_parties = party_counts.back();
-  const bool affinity_degenerate = cores < 2;
-  std::printf("\nPlacement policies (tree, %u parties)%s:\n\n", aff_parties,
-              affinity_degenerate
-                  ? " — DEGENERATE: one visible core, every policy is the same pin"
-                  : "");
-  struct AffRow {
-    const char* name;
-    SyncResult res;
-  };
-  std::vector<AffRow> aff_rows;
-  Table ta({"policy", "ns/gen", "parks"});
-  for (const AffinityPolicy policy :
-       {AffinityPolicy::kNone, AffinityPolicy::kCompact,
-        AffinityPolicy::kScatter}) {
-    const SyncResult res =
-        RunTree(aff_parties, cores, gens, topo.PlacementOrder(policy));
-    mismatches += res.mismatches;
-    aff_rows.push_back(AffRow{AffinityPolicyName(policy), res});
-    ta.Row({AffinityPolicyName(policy), Fmt("%.0f", res.ns_per_gen),
-            Fmt("%llu", static_cast<unsigned long long>(res.parks))});
-  }
-  ta.Print();
-
   // Parties that fit the cores, no straggler: crossings should not park.
   const uint32_t idle_parties = std::min(2u, cores);
-  const SyncResult idle = RunTree(idle_parties, cores, gens, {});
+  const SyncResult idle = RunTree(idle_parties, cores, gens);
   mismatches += idle.mismatches;
   const double idle_parks_per_gen =
       static_cast<double>(idle.parks) / static_cast<double>(gens);
@@ -267,10 +223,10 @@ int main(int argc, char** argv) {
     std::fprintf(out,
                  "{\n"
                  "  \"workload\": \"round boundary: barrier + min-reduction\",\n"
+                 "  %s,\n"
                  "  \"generations\": %u,\n"
-                 "  \"host_cores\": %u,\n"
                  "  \"sweep\": [",
-                 gens, cores);
+                 HostJson().c_str(), gens);
     for (size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];
       std::fprintf(out,
@@ -284,27 +240,14 @@ int main(int argc, char** argv) {
     }
     std::fprintf(out,
                  "\n  ],\n"
-                 "  \"affinity\": [");
-    for (size_t i = 0; i < aff_rows.size(); ++i) {
-      std::fprintf(out,
-                   "%s\n    {\"policy\": \"%s\", \"ns_per_gen\": %.1f, "
-                   "\"parks\": %llu}",
-                   i == 0 ? "" : ",", aff_rows[i].name,
-                   aff_rows[i].res.ns_per_gen,
-                   static_cast<unsigned long long>(aff_rows[i].res.parks));
-    }
-    std::fprintf(out,
-                 "\n  ],\n"
                  "  \"idle_cores\": {\"parties\": %u, \"ns_per_gen\": %.1f, "
                  "\"parks\": %llu, \"parks_per_gen\": %.6f},\n",
                  idle_parties, idle.ns_per_gen,
                  static_cast<unsigned long long>(idle.parks), idle_parks_per_gen);
     std::fprintf(out,
-                 "  \"affinity_degenerate\": %s,\n"
                  "  \"mismatches\": %llu,\n"
                  "  \"pass\": %s\n"
                  "}\n",
-                 affinity_degenerate ? "true" : "false",
                  static_cast<unsigned long long>(mismatches),
                  pass ? "true" : "false");
     std::fclose(out);

@@ -7,8 +7,8 @@
 // warns about, where every reduction barrier parks in the futex behind
 // descheduled peers. The tuned run starts from the identical config with
 // TuningMode::kAuto: the controller watches parked/round at each window
-// boundary and fits the party count to the actual machine, while the
-// window-horizon rule keeps the observation cadence up.
+// boundary and fits the party count to the actual machine; Network::Run
+// slices the tuned run into 0.5 ms windows so the controller observes often.
 //
 // The pass criteria are the refactor's contract, not raw speed: bit-identical
 // FlowMonitor fingerprints (tuning must never change results), at least one
@@ -24,7 +24,6 @@
 #include <string>
 
 #include "bench/bench_util.h"
-#include "src/kernel/engine/cpu_topology.h"
 
 using namespace unison;
 using namespace unison::bench;
@@ -71,8 +70,7 @@ TunedRun RunOnce(SimConfig cfg, const FatTreeScenario& sc) {
 int main(int argc, char** argv) {
   const bool quick = HasFlag(argc, argv, "--quick");
 
-  const uint32_t cpus = std::max<uint32_t>(
-      1, static_cast<uint32_t>(CpuTopology::Detect().cpus.size()));
+  const uint32_t cpus = CountUsableCpus();
   // 4x the machine, capped so many-core hosts don't spawn hundreds of
   // workers; at least 4 so the 1-core reference container is oversubscribed.
   const uint32_t threads = std::max(4u, std::min(32u, 4 * cpus));
@@ -96,9 +94,7 @@ int main(int argc, char** argv) {
   tuned.tuning = TuningMode::kAuto;
   tuned.tuning_config.min_rounds = 1;
   tuned.tuning_config.parks_per_round_high = 0.25;
-  tuned.tuning_config.ps_low = 1.0;  // Always keep the observation cadence up.
-  tuned.tuning_config.initial_window_ps = 500'000'000;  // 0.5 ms slices.
-  tuned.tuning_config.min_window_ps = 250'000'000;
+  tuned.tuning_config.window_ps = 500'000'000;  // 0.5 ms slices.
   const TunedRun tu = RunOnce(tuned, sc);
 
   const double speedup = tu.wall_ns == 0

@@ -11,10 +11,12 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "src/kernel/engine/executor_pool.h"
 #include "src/unison.h"
 
 namespace unison {
@@ -79,6 +81,56 @@ inline std::string Fmt(const char* fmt, ...) {
   std::vsnprintf(buf, sizeof(buf), fmt, args);
   va_end(args);
   return buf;
+}
+
+// The "host" object every checked-in BENCH_*.json artifact carries, since a
+// timing means little without the machine and the code that produced it:
+// usable cores, CPU model, build type and the git sha of the source tree
+// ("unknown" outside a git checkout). Emitted as `"host": {...}` without a
+// trailing comma.
+inline std::string HostJson() {
+  std::string model = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    const size_t colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos &&
+        colon + 2 <= line.size()) {
+      model = line.substr(colon + 2);
+      break;
+    }
+  }
+  // "<sha>-dirty" when the tree has uncommitted changes.
+  std::string sha = "unknown";
+#if defined(UNISON_SOURCE_DIR)
+  if (FILE* git = popen("cd '" UNISON_SOURCE_DIR "' 2>/dev/null && "
+                        "git rev-parse HEAD 2>/dev/null && "
+                        "{ git diff --quiet HEAD -- 2>/dev/null || echo dirty; }",
+                        "r")) {
+    char buf[64] = {};
+    if (std::fgets(buf, sizeof(buf), git) != nullptr && buf[0] != '\0') {
+      sha.assign(buf, std::strcspn(buf, "\n"));
+      if (std::fgets(buf, sizeof(buf), git) != nullptr) {
+        sha += "-dirty";
+      }
+    }
+    pclose(git);
+  }
+#endif
+#if defined(UNISON_BUILD_TYPE)
+  const char* build_type = UNISON_BUILD_TYPE;
+#else
+  const char* build_type = "unknown";
+#endif
+  std::string escaped;
+  for (char c : model) {
+    if (c == '"' || c == '\\') {
+      escaped += '\\';
+    }
+    escaped += c;
+  }
+  return "\"host\": {\"cores\": " + std::to_string(CountUsableCpus()) +
+         ", \"cpu_model\": \"" + escaped + "\", \"build_type\": \"" +
+         build_type + "\", \"git_sha\": \"" + sha + "\"}";
 }
 
 // Aligned text table.

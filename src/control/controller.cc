@@ -4,15 +4,12 @@
 #include <cstdint>
 #include <utility>
 
+#include "src/kernel/engine/executor_pool.h"
 #include "src/sched/lpt.h"
 
 namespace unison {
 
 namespace {
-// Horizon cap past which the window bound reverts to unbounded when the
-// config leaves max_window_ps at 0: one second of simulated time.
-constexpr int64_t kDefaultHorizonCapPs = 1'000'000'000'000LL;
-
 // Imbalance of one round's per-executor processing times: the busiest
 // executor's share over the ideal 1/W share, minus one (0 = perfectly
 // balanced). Undefined (false) for rounds without usable rows.
@@ -61,39 +58,9 @@ bool StreakFire(bool signal, uint32_t patience, uint32_t* streak,
 Controller::Controller(const ControllerConfig& config, TunableStore* store)
     : config_(config), store_(store) {
   if (config_.cpu_limit == 0) {
-    // Detect once, before any controller-driven pinning can narrow the
-    // process affinity mask this reads.
-    config_.cpu_limit =
-        static_cast<uint32_t>(CpuTopology::Detect().cpus.size());
+    config_.cpu_limit = CountUsableCpus();
   }
   config_.cpu_limit = std::max(1u, config_.cpu_limit);
-}
-
-double Controller::ResortDrift(const WindowTraceSegment& segment) {
-  // A stretch is a maximal run of rounds sharing one claim order (from one
-  // re-sort to just before the next). Its drift is how much the imbalance
-  // grew while the order went stale.
-  const auto& records = segment.records;
-  double total = 0.0;
-  uint32_t stretches = 0;
-  size_t i = 0;
-  while (i < records.size()) {
-    size_t j = i + 1;
-    while (j < records.size() && !records[j].resorted) {
-      ++j;
-    }
-    if (j - i >= 2) {
-      double first = 0.0;
-      double last = 0.0;
-      if (RoundImbalance(segment.round_p, records[i].round, &first) &&
-          RoundImbalance(segment.round_p, records[j - 1].round, &last)) {
-        total += last - first;
-        ++stretches;
-      }
-    }
-    i = j;
-  }
-  return stretches == 0 ? 0.0 : total / stretches;
 }
 
 double Controller::MeanRoundImbalance(const WindowTraceSegment& segment) {
@@ -151,14 +118,12 @@ bool Controller::OnWindowEnd(const WindowTraceSegment& segment,
   const uint32_t executors = std::max(1u, sum.executors);
 
   // Rule 1 — oversubscription: futex parks at the reduction barrier mean
-  // workers waiting on descheduled peers. Fit the party knob to the machine
-  // first; at the floor, release the pins instead (a pinned worker sharing
-  // its core with an unpinned stranger parks forever).
+  // workers waiting on descheduled peers. Fit the party knob to the machine.
   uint64_t parked = 0;
   for (const RoundTraceRecord& rec : segment.records) {
     parked += rec.parked;
   }
-  if (static_cast<double>(parked) / static_cast<double>(rounds) >
+  if (static_cast<double>(parked) / static_cast<double>(rounds) >=
       config_.parks_per_round_high) {
     uint32_t want = knob;
     if (executors > config_.cpu_limit) {
@@ -173,72 +138,15 @@ bool Controller::OnWindowEnd(const WindowTraceSegment& segment,
     if (want < knob) {
       next.parties = want;
       fire("oversubscribed");
-    } else if (next.affinity != AffinityPolicy::kNone) {
-      next.affinity = AffinityPolicy::kNone;
-      fire("affinity-fallback");
     }
   }
 
-  // Rule 2 — re-sort cadence: replace the static ceil(log2 n) of §4.3 with
-  // the observed payoff. Fast-growing imbalance between re-sorts means the
-  // order goes stale too quickly (shrink the period); flat imbalance means
-  // re-sorting buys nothing (grow it). Each direction must hold for
-  // `rule_patience` consecutive windows before it publishes.
   bool any_resort = false;
   for (const RoundTraceRecord& rec : segment.records) {
     any_resort = any_resort || rec.resorted;
   }
-  if (any_resort && executors > 1 && !segment.round_p.empty()) {
-    const double drift = ResortDrift(segment);
-    const uint32_t period = std::max(1u, sum.sched_period);
-    if (StreakFire(drift > config_.drift_shrink && period > config_.min_period,
-                   config_.rule_patience, &resort_shrink_streak_,
-                   &resort_grow_streak_)) {
-      next.sched_period = std::max(config_.min_period, period / 2);
-      fire("resort-shrink");
-    }
-    if (StreakFire(drift < config_.drift_grow && period < config_.max_period,
-                   config_.rule_patience, &resort_grow_streak_,
-                   &resort_shrink_streak_)) {
-      next.sched_period = std::min(config_.max_period, period * 2);
-      fire("resort-grow");
-    }
-  }
 
-  // Rule 3 — window horizon: a sync-bound window (low P/(P+S)) gets a
-  // shorter Run() slice so tuning reacts more often; a processing-bound one
-  // sheds the slicing overhead again, reverting to unbounded past the cap.
-  // Same hysteresis as rule 2.
-  const uint64_t p_ns = sum.processing_ns;
-  const uint64_t s_ns = sum.synchronization_ns;
-  if (executors > 1 && p_ns + s_ns > 0) {
-    const double ps_ratio =
-        static_cast<double>(p_ns) / static_cast<double>(p_ns + s_ns);
-    const int64_t cap = config_.max_window_ps > 0 ? config_.max_window_ps
-                                                  : kDefaultHorizonCapPs;
-    if (StreakFire(ps_ratio < config_.ps_low, config_.rule_patience,
-                   &window_shrink_streak_, &window_grow_streak_)) {
-      const int64_t span = sum.window_stop_ps - sum.window_start_ps;
-      const int64_t current =
-          next.max_window_ps > 0
-              ? next.max_window_ps
-              : std::max<int64_t>(span, 2 * config_.min_window_ps);
-      const int64_t want = std::max(config_.min_window_ps, current / 2);
-      if (want != next.max_window_ps) {
-        next.max_window_ps = want;
-        fire("window-shrink");
-      }
-    }
-    if (StreakFire(ps_ratio > config_.ps_high && next.max_window_ps > 0,
-                   config_.rule_patience, &window_grow_streak_,
-                   &window_shrink_streak_)) {
-      const int64_t want = next.max_window_ps * 2;
-      next.max_window_ps = want > cap ? 0 : want;
-      fire("window-grow");
-    }
-  }
-
-  // Rule 4 — rebalance: imbalance that re-sorting keeps failing to fix
+  // Rule 2 — rebalance: imbalance that re-sorting keeps failing to fix
   // means the *assignment* is skewed, not the claim order — no ordering of
   // the same per-executor LP sets can shed load across the boundary. After
   // `rebalance_patience` consecutive high-imbalance windows, recompute the
@@ -301,7 +209,7 @@ bool Controller::OnWindowEnd(const WindowTraceSegment& segment,
     }
   }
 
-  // Rule 5 — speculation horizon: a miss means the whole window ran twice
+  // Rule 3 — speculation horizon: a miss means the whole window ran twice
   // plus a rollback (pure waste), so a miss streak halves the horizon toward
   // the floor; a streak of windows that speculated and committed cleanly
   // means the horizon is leaving free wall-clock on the table — double it

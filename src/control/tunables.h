@@ -3,11 +3,11 @@
 //
 // KernelConfig keeps only simulation identity — kernel kind, seed, partition,
 // determinism — which must be frozen at MakeKernel because changing any of
-// them mid-session would change *what* is simulated. Everything that merely
-// changes *how fast* it is simulated (scheduler re-sort cadence, active party
-// count, executor placement, and the Run() window horizon) lives here, in a
-// TunableStore seeded from the KernelConfig at Finalize and re-published by
-// the Controller (src/control/controller.h) between windows.
+// them mid-session would change *what* is simulated. What merely changes
+// *how fast* it is simulated and the controller revises (active party count,
+// speculation horizon, LP ownership moves) lives here, in a TunableStore
+// seeded from the KernelConfig at Finalize and re-published by the
+// Controller (src/control/controller.h) between windows.
 //
 // Concurrency contract: the store is single-writer, window-boundary-only.
 // Kernels sample it once per Run() window (Kernel::SampleTuning), before any
@@ -20,28 +20,17 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/kernel/engine/cpu_topology.h"
 #include "src/partition/partition_map.h"
 
 namespace unison {
 
 struct Tunables {
-  // Rounds between scheduler re-sorts; 0 keeps the kernel's own default
-  // (config value, else ceil(log2 n), §4.3).
-  uint32_t sched_period = 0;
   // Active party knob in the kernel's own units: workers for unison, lanes
   // per rank for hybrid. 0 keeps the config default; kernels whose party
   // count is structural (barrier/nullmsg: one per LP) ignore it. Values are
   // clamped to the config default so per-executor state sized at Finalize
   // (FlowMonitor shards) is never exceeded.
   uint32_t parties = 0;
-  // Executor placement for the kernel's own pool; borrowed pools keep their
-  // owner's placement.
-  AffinityPolicy affinity = AffinityPolicy::kNone;
-  // Upper bound on how much simulated time one Run() window may cover, in
-  // picoseconds; 0 = unbounded (the caller's stop time is the horizon).
-  // Network::Run slices its stop time by this when a controller is attached.
-  int64_t max_window_ps = 0;
   // Speculative execution horizon: how far past the Eq. 2 LBTS bound a round
   // may optimistically extend, in picoseconds. 0 disables speculation (the
   // default; Network::Finalize seeds it only under speculation=auto). The

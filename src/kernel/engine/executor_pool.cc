@@ -1,10 +1,26 @@
 #include "src/kernel/engine/executor_pool.h"
 
+#include <algorithm>
 #include <utility>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "src/core/executor_id.h"
 
 namespace unison {
+
+uint32_t CountUsableCpus() {
+#if defined(__linux__)
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0 && CPU_COUNT(&mask) > 0) {
+    return static_cast<uint32_t>(CPU_COUNT(&mask));
+  }
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
+}
 
 namespace {
 std::atomic<uint64_t> g_total_threads_spawned{0};
@@ -34,67 +50,11 @@ void ExecutorPool::BumpEpoch(uint32_t parties) {
   epoch_.notify_all();
 }
 
-uint32_t ExecutorPool::usable_cores() const {
-  // Once this pool may have pinned the caller, only the cached set still
-  // holds the pre-pin mask.
-  return topology_cached_ ? static_cast<uint32_t>(all_cpus_.size())
-                          : CountUsableCpus();
-}
-
-void ExecutorPool::EnsureTopology() {
-  if (topology_cached_) {
-    return;
-  }
-  // Detect once per pool, and strictly before the first pin: Detect() reads
-  // the calling thread's allowed-CPU mask, which pinning narrows to one CPU.
-  // The cached full set is also what un-pinning restores.
-  topology_ = CpuTopology::Detect();
-  all_cpus_.clear();
-  all_cpus_.reserve(topology_.cpus.size());
-  for (const CpuTopology::Cpu& c : topology_.cpus) {
-    all_cpus_.push_back(c.id);
-  }
-  topology_cached_ = true;
-}
-
-void ExecutorPool::ApplyPlacement(AffinityPolicy policy) {
-  if (policy == placement_) {
-    return;
-  }
-  if (policy == AffinityPolicy::kNone) {
-    placement_ = policy;
-    if (!caller_pinned_) {
-      return;  // Nothing was ever pinned; nothing to undo.
-    }
-    cpu_order_.clear();
-    ++placement_gen_;
-    PinCurrentThreadToCpus(all_cpus_);
-    return;
-  }
-  placement_ = policy;
-  EnsureTopology();
-  cpu_order_ = topology_.PlacementOrder(policy);
-  if (cpu_order_.empty()) {
-    return;  // Portable fallback: pinning unsupported here.
-  }
-  ++placement_gen_;
-  PinCurrentThreadToCpu(cpu_order_[0]);  // The caller is worker 0.
-  caller_pinned_ = true;
-}
-
 void ExecutorPool::Ensure(uint32_t parties) {
   if (parties == parties_) {
     return;
   }
   parties_ = parties;
-  if (!caller_pinned_ && placement_ != AffinityPolicy::kNone) {
-    EnsureTopology();
-    cpu_order_ = topology_.PlacementOrder(placement_);
-    if (!cpu_order_.empty()) {
-      PinCurrentThreadToCpu(cpu_order_[0]);  // The caller is worker 0.
-    }
-    caller_pinned_ = true;
-  }
   const uint32_t want_threads = parties == 0 ? 0 : parties - 1;
   if (want_threads <= threads_.size()) {
     // Shrink (or re-grow within the high-water set): the excess threads stay
@@ -105,20 +65,11 @@ void ExecutorPool::Ensure(uint32_t parties) {
   threads_.reserve(want_threads);
   // New threads must baseline on the run sequence as of spawn time: a thread
   // that read it only after a later Run() bumped it would mistake that run
-  // for "already seen" and sleep through it. The pin target travels by
-  // value for the same reason: a later ApplyPlacement rewrites cpu_order_.
+  // for "already seen" and sleep through it.
   const uint32_t seen = seq_;
-  const uint64_t pin_gen = placement_gen_;
   for (uint32_t id = static_cast<uint32_t>(threads_.size()) + 1;
        id <= want_threads; ++id) {
-    const int64_t pin =
-        cpu_order_.empty() ? -1 : cpu_order_[id % cpu_order_.size()];
-    threads_.emplace_back([this, id, seen, pin_gen, pin] {
-      if (pin >= 0) {
-        PinCurrentThreadToCpu(static_cast<uint32_t>(pin));
-      }
-      Loop(id, seen, pin_gen);
-    });
+    threads_.emplace_back([this, id, seen] { Loop(id, seen); });
     ++threads_spawned_;
     g_total_threads_spawned.fetch_add(1, std::memory_order_relaxed);
   }
@@ -142,7 +93,7 @@ void ExecutorPool::Run(std::function<void(uint32_t)> body) {
   }
 }
 
-void ExecutorPool::Loop(uint32_t id, uint32_t seen, uint64_t pin_gen) {
+void ExecutorPool::Loop(uint32_t id, uint32_t seen) {
   for (;;) {
     uint64_t e = epoch_.load(std::memory_order_acquire);
     while (EpochSeq(e) == seen) {
@@ -154,17 +105,6 @@ void ExecutorPool::Loop(uint32_t id, uint32_t seen, uint64_t pin_gen) {
       return;
     }
     if (id < EpochParties(e)) {  // Excess (parked) workers sit this run out.
-      if (pin_gen != placement_gen_) {
-        // Placement changed since this worker last ran: chase it lazily.
-        // Safe to read here — ApplyPlacement writes strictly before the
-        // epoch bump this iteration just acquired.
-        pin_gen = placement_gen_;
-        if (!cpu_order_.empty()) {
-          PinCurrentThreadToCpu(cpu_order_[id % cpu_order_.size()]);
-        } else {
-          PinCurrentThreadToCpus(all_cpus_);
-        }
-      }
       SetCurrentExecutorId(static_cast<int>(id));
       body_(id);
       SetCurrentExecutorId(kNoExecutor);

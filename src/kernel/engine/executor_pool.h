@@ -12,9 +12,7 @@
 // run epochs until a later Ensure re-enlists them), so alternating kernel
 // configurations in one process never churn OS threads.
 //
-// With a placement policy set (SetPlacement, before the first Ensure), the
-// caller and every spawned worker are pinned to cores per the policy's CPU
-// order (see cpu_topology.h); worker w gets order[w % order.size()].
+// Placement is left to the OS scheduler: nothing here pins a thread.
 //
 // Kernels hand the pool their whole round loop once per run; phase
 // synchronization inside the loop is the kernel's job (CombiningBarrier).
@@ -27,9 +25,13 @@
 #include <thread>
 #include <vector>
 
-#include "src/kernel/engine/cpu_topology.h"
-
 namespace unison {
+
+// Number of CPUs in the calling thread's allowed mask (sched_getaffinity);
+// hardware_concurrency() where the mask is unavailable. Never 0. The round
+// barrier sizes its spin regime with it, and the controller's
+// oversubscription rule fits the party count to it.
+uint32_t CountUsableCpus();
 
 class ExecutorPool {
  public:
@@ -39,17 +41,6 @@ class ExecutorPool {
   ExecutorPool(const ExecutorPool&) = delete;
   ExecutorPool& operator=(const ExecutorPool&) = delete;
 
-  // Selects the worker placement policy. Takes effect at the next Ensure()
-  // that spawns or (for the caller pin) first activates placement; call it
-  // before the first Ensure — kernels do so in Setup.
-  void SetPlacement(AffinityPolicy policy) { placement_ = policy; }
-
-  // Live placement change between runs: re-pins the caller now and each
-  // worker lazily at its next run epoch (no thread is retired or spawned).
-  // Dropping back to kNone widens every thread to the pre-pin CPU set. Call
-  // only with no Run() in flight — kernels do so when sampling tunables.
-  void ApplyPlacement(AffinityPolicy policy);
-
   // Ensures the pool runs `parties` workers, the caller counting as worker 0.
   // Growth beyond the high-water mark spawns only the missing threads;
   // shrinking parks the excess in place (no retire/respawn).
@@ -57,10 +48,9 @@ class ExecutorPool {
 
   uint32_t parties() const { return parties_; }
 
-  // CPUs the caller may run on: its allowed-CPU mask, or the mask cached
-  // before this pool pinned the caller. The round kernels size their
-  // barrier's spin regime with it.
-  uint32_t usable_cores() const;
+  // CPUs the caller may run on (CountUsableCpus). The round kernels size
+  // their barrier's spin regime with it.
+  uint32_t usable_cores() const { return CountUsableCpus(); }
 
   // Runs body(worker_id) on all workers, the caller included as id 0.
   // Returns when every worker has finished. Not reentrant.
@@ -88,10 +78,7 @@ class ExecutorPool {
   void Shutdown();
   // Publishes run seq_+1 with `parties` and wakes every thread.
   void BumpEpoch(uint32_t parties);
-  void Loop(uint32_t id, uint32_t seen, uint64_t pin_gen);
-  // Caches the machine topology (and the full allowed-CPU set, for un-pin)
-  // once, before any pin narrows the mask Detect() reads.
-  void EnsureTopology();
+  void Loop(uint32_t id, uint32_t seen);
 
   // Active party count for the next Run. Caller-only: workers learn it from
   // the epoch word.
@@ -103,18 +90,6 @@ class ExecutorPool {
   std::atomic<bool> shutdown_{false};
   std::vector<std::thread> threads_;  // High-water set; ids 1..size().
   uint64_t threads_spawned_ = 0;
-  AffinityPolicy placement_ = AffinityPolicy::kNone;
-  // Pin targets; empty = no pinning. Active workers read it after acquiring
-  // the epoch; a spawned thread gets its first target by value.
-  std::vector<uint32_t> cpu_order_;
-  // Bumped on every placement change; workers re-pin when their last-seen
-  // generation lags. Plain field, written between runs, read by active
-  // workers after the epoch release/acquire edge.
-  uint64_t placement_gen_ = 0;
-  bool caller_pinned_ = false;
-  bool topology_cached_ = false;
-  CpuTopology topology_;
-  std::vector<uint32_t> all_cpus_;  // Allowed set before any pin; for un-pin.
 };
 
 }  // namespace unison

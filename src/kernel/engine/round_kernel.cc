@@ -12,14 +12,7 @@ void RoundKernel::SetupRounds(const char* name, uint32_t domains,
   lanes_ = max_lanes_;
   lanes_tunable_ = lanes_tunable;
   executor_events_.assign(executors(), 0);
-  // A borrowed pool keeps its owner's placement; only the kernel's own pool
-  // takes this config's affinity. Executor ids are domain-major, so compact
-  // placement lays domains (hybrid ranks) out socket-major: a rank's lanes
-  // fill one package before the next rank starts.
   active_pool_ = external_pool_ != nullptr ? external_pool_ : &pool_;
-  if (active_pool_ == &pool_) {
-    pool_.SetPlacement(config_.affinity);
-  }
   barrier_ = std::make_unique<CombiningBarrier>(executors(),
                                                 active_pool_->usable_cores());
   active_pool_->Ensure(executors());
@@ -27,18 +20,15 @@ void RoundKernel::SetupRounds(const char* name, uint32_t domains,
 
 RunResult RoundKernel::Run(Time stop_time) {
   // Sample the live tunables once per window, before any worker releases:
-  // re-sort cadence, live lanes (≤ the Setup ceiling, so Finalize-sized
-  // per-executor state still fits), and placement. A window is the only
-  // safe boundary — the barrier tree and the owned lists key off lanes_.
+  // live lanes (≤ the Setup ceiling, so Finalize-sized per-executor state
+  // still fits) and the speculation horizon. A window is the only safe
+  // boundary — the barrier tree and the owned lists key off lanes_.
   tuning_ = SampleTuning(max_lanes_, lanes_tunable_);
   const bool resized = tuning_.parties != lanes_;
   if (resized) {
     lanes_ = tuning_.parties;
     barrier_ = std::make_unique<CombiningBarrier>(executors(),
                                                   active_pool_->usable_cores());
-  }
-  if (active_pool_ == &pool_) {
-    pool_.ApplyPlacement(tuning_.affinity);
   }
   // Re-Ensure every window (no-op when unchanged): a borrowed pool may have
   // been resized by its owner, and tuning resizes ours.

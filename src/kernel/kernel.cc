@@ -39,11 +39,6 @@ std::string KernelConfig::Validate() const {
            "between re-sorts); it counts rounds, not time — use 0 for the "
            "ceil(log2 n) default";
   }
-  if (affinity != AffinityPolicy::kNone &&
-      affinity != AffinityPolicy::kCompact &&
-      affinity != AffinityPolicy::kScatter) {
-    return "KernelConfig.affinity must be one of none|compact|scatter";
-  }
   return {};
 }
 
@@ -125,11 +120,16 @@ void Kernel::ScheduleGlobal(Time abs, EventFn fn) {
   Lp* const cur = Lp::Current();
   // Global events are normally scheduled before the run or from another
   // global event (§4.2), both single-threaded contexts. Scheduling from an
-  // LP event is tolerated but serialized: the public FEL is shared.
+  // LP event is tolerated but serialized: the public FEL is shared. The
+  // LP's running batch stops at the global, so the global runs before this
+  // LP's node events at its timestamp (in the parallel kernels the batch
+  // bound already lies at or below any global scheduled for the LBTS or
+  // later; the sequential kernel's batch otherwise runs past it).
   if (cur != nullptr && cur != public_lp_.get()) {
     std::lock_guard<std::mutex> lock(public_mu_);
     public_lp_->fel().Push(Event{cur->MakeKey(abs), kNoNode, std::move(fn)});
     t_global_scheduled = true;
+    cur->LowerBatchBound(abs);
     return;
   }
   Lp* const sender = cur != nullptr ? cur : public_lp_.get();
@@ -192,34 +192,25 @@ uint64_t Kernel::RunGlobalEvents(Time upto, Time stop) {
 Kernel::WindowTuning Kernel::SampleTuning(uint32_t default_parties,
                                           bool parties_tunable) const {
   WindowTuning t;
-  uint32_t period = config_.sched_period;
   uint32_t parties = default_parties;
-  AffinityPolicy affinity = config_.affinity;
   if (tunables_ != nullptr) {
     const Tunables& live = tunables_->Get();
     t.epoch = tunables_->epoch();
-    if (live.sched_period > 0) {
-      period = live.sched_period;
-    }
     if (parties_tunable && live.parties > 0) {
       // The config default is also the ceiling: FlowMonitor shards and other
       // per-executor state were sized from it at Finalize.
       parties = std::min(live.parties, default_parties);
     }
-    affinity = live.affinity;
-  }
-  if (period == 0) {
-    const uint32_t n = std::max(2u, num_lps());
-    period = static_cast<uint32_t>(std::bit_width(n - 1));  // ceil(log2 n)
-  }
-  t.sched_period = period;
-  t.parties = std::max(1u, parties);
-  t.affinity = affinity;
-  if (tunables_ != nullptr) {
     // No config fallback: speculation is live-plane-only (Network::Finalize
     // seeds the horizon under speculation=auto; the controller revises it).
-    t.spec_horizon_ps = tunables_->Get().spec_horizon_ps;
+    t.spec_horizon_ps = live.spec_horizon_ps;
   }
+  t.sched_period = config_.sched_period;
+  if (t.sched_period == 0) {
+    const uint32_t n = std::max(2u, num_lps());
+    t.sched_period = static_cast<uint32_t>(std::bit_width(n - 1));  // ceil(log2 n)
+  }
+  t.parties = std::max(1u, parties);
   return t;
 }
 

@@ -20,7 +20,6 @@
 #include "src/control/tunables.h"
 #include "src/core/event.h"
 #include "src/core/time.h"
-#include "src/kernel/engine/cpu_topology.h"
 #include "src/kernel/engine/spec_checkpoint.h"
 #include "src/kernel/lp.h"
 #include "src/partition/graph.h"
@@ -81,11 +80,6 @@ struct KernelConfig {
   // (USNP SaveTo format), so a killed long sim resumes from the last
   // boundary via LoadFrom + Session::Restore instead of t=0. 0 = off.
   uint32_t auto_checkpoint_every = 0;
-  // Executor placement: pin pool workers to cores per this policy (compact =
-  // fill a socket before the next, hybrid ranks socket-major; scatter =
-  // round-robin across sockets). kNone leaves placement to the OS. When the
-  // party count exceeds the machine, placement wraps around the core list.
-  AffinityPolicy affinity = AffinityPolicy::kNone;
 
   // Largest accepted sched_period: ceil(log2 n) tops out near 32 for any
   // representable topology, so a period beyond this is a unit error (e.g.
@@ -264,7 +258,6 @@ class Kernel {
     uint64_t epoch = 0;
     uint32_t sched_period = 0;
     uint32_t parties = 0;  // Kernel-native knob units (see Tunables).
-    AffinityPolicy affinity = AffinityPolicy::kNone;
     int64_t spec_horizon_ps = 0;  // 0 = speculation off this window.
   };
   const WindowTuning& window_tuning() const { return tuning_; }
@@ -401,8 +394,8 @@ class Kernel {
   void NoteSpecAttempt(uint32_t spec_rounds, bool miss);
 
   // Resolves this window's tunables: live store values where published,
-  // config defaults otherwise, ceil(log2 n) when the period is still 0
-  // (§4.3). `default_parties` is the config-derived knob value and also the
+  // config defaults otherwise. The re-sort period is the config's, else
+  // ceil(log2 n) (§4.3). `default_parties` is the config-derived knob value and also the
   // ceiling — per-executor state sized at Finalize is never exceeded;
   // kernels whose party count is structural pass parties_tunable=false.
   // Every kernel calls this at the start of Run(), before workers release.

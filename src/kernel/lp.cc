@@ -11,7 +11,8 @@ uint64_t Lp::ProcessUntil(Time bound) {
   uint64_t processed = 0;
   Lp* const prev = current_;
   current_ = this;
-  while (!fel_.Empty() && fel_.PeekKey().ts < bound) {
+  batch_bound_ = bound;
+  while (!fel_.Empty() && fel_.PeekKey().ts < batch_bound_) {
     Event ev = fel_.Pop();
     now_ = ev.key.ts;
     current_node_ = ev.node;

@@ -7,6 +7,7 @@
 #ifndef UNISON_SRC_KERNEL_LP_H_
 #define UNISON_SRC_KERNEL_LP_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -67,6 +68,12 @@ class Lp {
   // Pops and executes events with timestamp strictly below `bound`.
   // Returns the number of events executed. Updates the LP clock as it goes.
   uint64_t ProcessUntil(Time bound);
+
+  // Lowers the bound of the running ProcessUntil batch to `t`, so the batch
+  // stops before events at or after `t`. Kernel::ScheduleGlobal calls it when
+  // an event of this LP schedules a global: the global must run before node
+  // events at its own timestamp, as the parallel kernels' global phase does.
+  void LowerBatchBound(Time t) { batch_bound_ = std::min(batch_bound_, t); }
 
   // --- Mailbox wiring (set up by the kernels) ---
 
@@ -136,6 +143,7 @@ class Lp {
   const LpId id_;
   const bool deterministic_;
   Time now_;
+  Time batch_bound_;  // Bound of the running ProcessUntil batch.
   uint64_t seq_ = 0;
   uint64_t arrival_seq_ = 0;
   FutureEventList fel_;

@@ -53,9 +53,6 @@ void NullMessageKernel::Setup(const TopoGraph& graph, const Partition& partition
     }
   }
   active_pool_ = external_pool_ != nullptr ? external_pool_ : &pool_;
-  if (active_pool_ == &pool_) {
-    pool_.SetPlacement(config_.affinity);
-  }
   active_pool_->Ensure(num_lps());
 }
 
@@ -113,13 +110,10 @@ RunResult NullMessageKernel::Run(Time stop_time) {
       std::abort();
     }
   }
-  // The party count is structural (one LP loop per LP), so only placement is
-  // live; re-Ensure covers a borrowed pool resized by its owner's tuning.
+  // The party count is structural (one LP loop per LP); re-Ensure covers a
+  // borrowed pool resized by its owner's tuning.
   tuning_ = SampleTuning(num_lps(), /*parties_tunable=*/false);
   ApplyPendingMigrations();
-  if (active_pool_ == &pool_) {
-    pool_.ApplyPlacement(tuning_.affinity);
-  }
   active_pool_->Ensure(num_lps());
   // No shared synchronization rounds in this algorithm: BeginRun covers the
   // run-level profiler/trace bookkeeping; the trace carries the summary and

@@ -164,14 +164,7 @@ void Network::Finalize() {
   // tuning on or off — a store that only ever holds its seed (epoch 0) is
   // exactly the static configuration.
   Tunables seed;
-  seed.sched_period = config_.kernel.sched_period;
   seed.parties = config_.kernel.threads;
-  seed.affinity = config_.kernel.affinity;
-  if (config_.tuning == TuningMode::kAuto) {
-    // Bound the first windows so the controller gets observations before the
-    // caller's stop time, not only at it (slicing is results-neutral).
-    seed.max_window_ps = config_.tuning_config.initial_window_ps;
-  }
   if (config_.speculation == SpeculationMode::kAuto) {
     // Live the horizon from the start; under tuning=kAuto the controller's
     // spec-horizon rule revises it between windows. A zero horizon is how
@@ -247,19 +240,18 @@ RunResult Network::Run(Time stop) {
     MaybeAutoCheckpoint();
     return r;
   }
-  // Closed loop: slice the caller's horizon by the live window bound, feed
+  // Closed loop: slice the caller's horizon into windows of window_ps, feed
   // each completed window's trace segment to the controller, and continue
   // until the caller's stop is reached (or the run ends for another reason).
   // Window slicing is results-neutral (K windowed runs are bit-identical to
-  // one monolithic run), so this loop changes wall time only.
+  // one monolithic run), so this loop changes wall time only, and gives the
+  // controller observations before the caller's stop time, not only at it.
+  const int64_t horizon = config_.tuning_config.window_ps;
   RunResult total;
   for (;;) {
-    const int64_t horizon = tunable_store_.Get().max_window_ps;
     Time next = stop;
-    if (horizon > 0 && !stop.IsMax()) {
+    if (horizon > 0) {
       next = std::min(stop, kernel_->session_now() + Time::Picoseconds(horizon));
-    } else if (horizon > 0) {
-      next = kernel_->session_now() + Time::Picoseconds(horizon);
     }
     const RunResult r = kernel_->Run(next);
     total.reason = r.reason;

@@ -61,11 +61,12 @@ struct QueueConfig {
 };
 
 // Live tuning plane switch. kOff freezes every knob at its KernelConfig
-// value (the historical behaviour); kAuto attaches a Controller that revises
-// the live tunables (re-sort cadence, active parties, placement, window
-// horizon) between Run() windows from the trace segments. Results are
-// bit-identical either way — the controller only ever acts at window
-// boundaries, and every knob it touches is results-neutral.
+// value (the historical behaviour); kAuto slices Run() into windows of
+// tuning_config.window_ps and attaches a Controller that revises the live
+// tunables (active parties, LP ownership, speculation horizon) between those
+// windows from the trace segments. Results are bit-identical either way —
+// the controller only ever acts at window boundaries, and every knob it
+// touches is results-neutral.
 enum class TuningMode : uint8_t {
   kOff = 0,
   kAuto = 1,

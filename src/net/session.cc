@@ -20,16 +20,18 @@
 namespace unison {
 namespace {
 
-// USNP v5: little-endian, field-by-field, no alignment padding. The version
+// USNP v6: little-endian, field-by-field, no alignment padding. The version
 // gates the whole buffer — any layout change bumps it; there is no partial
 // compatibility. v2 added the live-tuning plane, v3 the realized
 // LP-ownership map, v4 the speculation plane. v5 splits the buffer into a
 // static section (SimConfig, topology, partition, injection epoch, tunables,
 // ownership, session accumulators, flow-source specs) and a dynamic section
 // that is byte for byte the speculation window checkpoint, so one writer and
-// one in-place apply serve fork, resume and rollback.
+// one in-place apply serve fork, resume and rollback. v6 drops the placement
+// policy, the re-sort period and window horizon tunables and their
+// controller settings, and encodes every remaining ControllerConfig field.
 constexpr uint8_t kMagic[4] = {'U', 'S', 'N', 'P'};
-constexpr uint32_t kVersion = 5;
+constexpr uint32_t kVersion = 6;
 
 constexpr const char* kLambdaEvent =
     "a pending event is not a named model event (see "
@@ -244,6 +246,22 @@ void Io(auto& a, Is<TcpConfig> auto&& t) {
   a.F64(t.dctcp_g);
 }
 
+void Io(auto& a, Is<ControllerConfig> auto&& c) {
+  a.I64(c.window_ps);
+  a.F64(c.parks_per_round_high);
+  a.U32(c.min_parties);
+  a.U32(c.cpu_limit);
+  a.U32(c.min_rounds);
+  a.U32(c.rule_patience);
+  a.F64(c.rebalance_imbalance_high);
+  a.U32(c.rebalance_patience);
+  a.U32(c.rebalance_cooldown);
+  a.F64(c.cost_ewma_alpha);
+  a.I64(c.spec_horizon_initial_ps);
+  a.I64(c.spec_horizon_min_ps);
+  a.I64(c.spec_horizon_max_ps);
+}
+
 void Io(auto& a, Is<SimConfig> auto&& c) {
   a.U8(c.kernel.type);
   a.U32(c.kernel.threads);
@@ -251,7 +269,6 @@ void Io(auto& a, Is<SimConfig> auto&& c) {
   a.U32(c.kernel.sched_period);
   a.Bool(c.kernel.deterministic);
   a.U32(c.kernel.ranks);
-  a.U8(c.kernel.affinity);
   a.U8(c.partition);
   a.U64(c.seed);
   a.Bool(c.profile);
@@ -260,23 +277,7 @@ void Io(auto& a, Is<SimConfig> auto&& c) {
   a.Bool(c.trace);
   a.Bool(c.trace_claim_order);
   a.U8(c.tuning);
-  a.F64(c.tuning_config.drift_shrink);
-  a.F64(c.tuning_config.drift_grow);
-  a.U32(c.tuning_config.min_period);
-  a.U32(c.tuning_config.max_period);
-  a.F64(c.tuning_config.ps_low);
-  a.F64(c.tuning_config.ps_high);
-  a.I64(c.tuning_config.min_window_ps);
-  a.I64(c.tuning_config.max_window_ps);
-  a.I64(c.tuning_config.initial_window_ps);
-  a.F64(c.tuning_config.parks_per_round_high);
-  a.U32(c.tuning_config.min_parties);
-  a.U32(c.tuning_config.cpu_limit);
-  a.U32(c.tuning_config.min_rounds);
-  a.F64(c.tuning_config.cost_ewma_alpha);
-  a.I64(c.tuning_config.spec_horizon_initial_ps);
-  a.I64(c.tuning_config.spec_horizon_min_ps);
-  a.I64(c.tuning_config.spec_horizon_max_ps);
+  Io(a, c.tuning_config);
   a.U8(c.speculation);
   a.U32(c.kernel.auto_checkpoint_every);
   a.Str(c.auto_checkpoint_path);
@@ -285,10 +286,7 @@ void Io(auto& a, Is<SimConfig> auto&& c) {
 }
 
 void Io(auto& a, Is<Tunables> auto&& t) {
-  a.U32(t.sched_period);
   a.U32(t.parties);
-  a.U8(t.affinity);
-  a.I64(t.max_window_ps);
   a.I64(t.spec_horizon_ps);
 }
 

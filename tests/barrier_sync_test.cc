@@ -18,7 +18,7 @@
 #include <thread>
 #include <vector>
 
-#include "src/kernel/engine/cpu_topology.h"
+#include "src/kernel/engine/executor_pool.h"
 #include "tests/barrier_sync.h"
 #include "src/sched/combining_barrier.h"
 
@@ -259,8 +259,7 @@ TEST(CombiningBarrier, SpinBudgetStaysBoundedUnderForcedParking) {
 // party for longer than any bounded spin, so the best of three attempts
 // counts; each attempt is a fresh barrier.
 TEST(CombiningBarrier, SpinsWithoutParkingWhilePartiesFitTheCores) {
-  const uint32_t cores =
-      static_cast<uint32_t>(CpuTopology::Detect().cpus.size());
+  const uint32_t cores = CountUsableCpus();
   if (cores < 2) {
     GTEST_SKIP() << "needs two usable cores";
   }

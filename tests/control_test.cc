@@ -1,10 +1,12 @@
 // The live tuning plane: TunableStore epoch semantics, each controller rule
 // exercised on synthetic window segments, and the network-level closed loop
 // (published tunables take effect at the next window without perturbing
-// results).
+// results, and tuned runs slice into fixed windows).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,33 +23,31 @@ namespace {
 TEST(TunableStore, SeedDoesNotConsumeAnEpoch) {
   TunableStore store;
   Tunables t;
-  t.sched_period = 7;
   t.parties = 3;
   store.Seed(t);
   EXPECT_EQ(store.epoch(), 0u);  // Epoch 0 == "tuning never acted".
-  EXPECT_EQ(store.Get().sched_period, 7u);
   EXPECT_EQ(store.Get().parties, 3u);
 }
 
 TEST(TunableStore, PublishBumpsEpochAndRestoreSetsBoth) {
   TunableStore store;
   Tunables t;
-  t.sched_period = 4;
+  t.parties = 4;
   store.Publish(t);
   EXPECT_EQ(store.epoch(), 1u);
-  t.sched_period = 2;
+  t.parties = 2;
   store.Publish(t);
   EXPECT_EQ(store.epoch(), 2u);
-  EXPECT_EQ(store.Get().sched_period, 2u);
+  EXPECT_EQ(store.Get().parties, 2u);
 
   // Snapshot restore reinstalls captured values *and* the captured epoch.
   Tunables captured;
-  captured.sched_period = 9;
-  captured.max_window_ps = 123;
+  captured.parties = 9;
+  captured.spec_horizon_ps = 123;
   store.Restore(captured, 5);
   EXPECT_EQ(store.epoch(), 5u);
-  EXPECT_EQ(store.Get().sched_period, 9u);
-  EXPECT_EQ(store.Get().max_window_ps, 123);
+  EXPECT_EQ(store.Get().parties, 9u);
+  EXPECT_EQ(store.Get().spec_horizon_ps, 123);
 }
 
 // --- Controller rules on synthetic segments ---
@@ -56,17 +56,12 @@ struct SegmentSpec {
   uint32_t rounds = 8;
   uint32_t executors = 2;   // Width of the per-round P rows.
   uint32_t parties = 2;     // Kernel knob value the window ran with.
-  uint32_t sched_period = 8;
   uint64_t parked_per_round = 0;
   uint32_t resort_every = 0;  // 0 = no re-sort rounds at all.
   // Per-round processing imbalance ramps from imb_first at each re-sort to
   // imb_last just before the next (Imb = max * W / sum - 1).
   double imb_first = 0.0;
   double imb_last = 0.0;
-  uint64_t p_ns = 500;  // Window totals; ratio p/(p+s) drives rule 3.
-  uint64_t s_ns = 500;
-  int64_t window_start_ps = 0;
-  int64_t window_stop_ps = 1'000'000'000;  // 1 ms span.
 };
 
 // One executor gets the (1 + d) / W share of the round's processing time,
@@ -85,12 +80,7 @@ WindowTraceSegment MakeSegment(const SegmentSpec& spec) {
   seg.summary.kernel = "synthetic";
   seg.summary.executors = spec.executors;
   seg.summary.parties = spec.parties;
-  seg.summary.sched_period = spec.sched_period;
   seg.summary.rounds = spec.rounds;
-  seg.summary.processing_ns = spec.p_ns;
-  seg.summary.synchronization_ns = spec.s_ns;
-  seg.summary.window_start_ps = spec.window_start_ps;
-  seg.summary.window_stop_ps = spec.window_stop_ps;
   for (uint32_t r = 0; r < spec.rounds; ++r) {
     RoundTraceRecord rec;
     rec.round = r;
@@ -119,45 +109,6 @@ ControllerConfig TestConfig() {
   return cfg;
 }
 
-TEST(Controller, ResortDriftMeasuresPerStretchGrowth) {
-  SegmentSpec spec;
-  spec.rounds = 8;
-  spec.resort_every = 4;
-  spec.imb_first = 0.1;
-  spec.imb_last = 0.4;
-  const double drift = Controller::ResortDrift(MakeSegment(spec));
-  EXPECT_NEAR(drift, 0.3, 1e-3);  // Both stretches grow 0.1 -> 0.4.
-}
-
-TEST(Controller, ResortShrinkHalvesThePeriod) {
-  TunableStore store;
-  Controller ctl(TestConfig(), &store);
-  SegmentSpec spec;
-  spec.sched_period = 8;
-  spec.resort_every = 4;
-  spec.imb_first = 0.0;
-  spec.imb_last = 0.5;  // Drift 0.5 > drift_shrink 0.30.
-  EXPECT_TRUE(ctl.OnWindowEnd(MakeSegment(spec)));
-  EXPECT_EQ(store.epoch(), 1u);
-  EXPECT_EQ(store.Get().sched_period, 4u);
-  ASSERT_EQ(ctl.decisions().size(), 1u);
-  EXPECT_EQ(ctl.decisions()[0].rule, "resort-shrink");
-}
-
-TEST(Controller, ResortGrowDoublesThePeriod) {
-  TunableStore store;
-  Controller ctl(TestConfig(), &store);
-  SegmentSpec spec;
-  spec.sched_period = 8;
-  spec.resort_every = 4;
-  spec.imb_first = 0.2;
-  spec.imb_last = 0.2;  // Drift 0 < drift_grow 0.05: re-sorting buys nothing.
-  EXPECT_TRUE(ctl.OnWindowEnd(MakeSegment(spec)));
-  EXPECT_EQ(store.Get().sched_period, 16u);
-  ASSERT_EQ(ctl.decisions().size(), 1u);
-  EXPECT_EQ(ctl.decisions()[0].rule, "resort-grow");
-}
-
 TEST(Controller, OversubscribedFitsPartiesToTheMachine) {
   TunableStore store;
   ControllerConfig cfg = TestConfig();
@@ -173,89 +124,16 @@ TEST(Controller, OversubscribedFitsPartiesToTheMachine) {
   EXPECT_EQ(ctl.decisions()[0].rule, "oversubscribed");
 }
 
-TEST(Controller, AffinityFallbackAtThePartyFloor) {
+TEST(Controller, OversubscribedAtThePartyFloorPublishesNothing) {
   TunableStore store;
-  Tunables seed;
-  seed.affinity = AffinityPolicy::kCompact;
-  store.Seed(seed);
   Controller ctl(TestConfig(), &store);
   SegmentSpec spec;
   spec.executors = 1;  // Already at the floor; parks persist anyway.
   spec.parties = 1;
   spec.parked_per_round = 10;
-  EXPECT_TRUE(ctl.OnWindowEnd(MakeSegment(spec)));
-  EXPECT_EQ(store.Get().affinity, AffinityPolicy::kNone);
-  ASSERT_EQ(ctl.decisions().size(), 1u);
-  EXPECT_EQ(ctl.decisions()[0].rule, "affinity-fallback");
-}
-
-TEST(Controller, WindowShrinkOnSyncBoundWindows) {
-  TunableStore store;
-  Controller ctl(TestConfig(), &store);
-  SegmentSpec spec;
-  spec.p_ns = 100;
-  spec.s_ns = 900;  // P/(P+S) = 0.1 < ps_low 0.35.
-  EXPECT_TRUE(ctl.OnWindowEnd(MakeSegment(spec)));
-  // Unbounded horizon seeds from the observed window span (1 ms), then halves.
-  EXPECT_EQ(store.Get().max_window_ps, 500'000'000);
-  ASSERT_EQ(ctl.decisions().size(), 1u);
-  EXPECT_EQ(ctl.decisions()[0].rule, "window-shrink");
-
-  // Repeated shrink saturates at min_window_ps and stops publishing.
-  EXPECT_TRUE(ctl.OnWindowEnd(MakeSegment(spec)));
-  EXPECT_TRUE(ctl.OnWindowEnd(MakeSegment(spec)));
-  EXPECT_TRUE(ctl.OnWindowEnd(MakeSegment(spec)));
-  EXPECT_TRUE(ctl.OnWindowEnd(MakeSegment(spec)));
-  EXPECT_EQ(store.Get().max_window_ps, ctl.config().min_window_ps);
   EXPECT_FALSE(ctl.OnWindowEnd(MakeSegment(spec)));
-}
-
-TEST(Controller, WindowGrowRevertsToUnboundedPastTheCap) {
-  TunableStore store;
-  Tunables seed;
-  seed.max_window_ps = 600'000'000'000;  // 0.6 s, one doubling past the cap.
-  store.Seed(seed);
-  Controller ctl(TestConfig(), &store);
-  SegmentSpec spec;
-  spec.p_ns = 900;
-  spec.s_ns = 100;  // P/(P+S) = 0.9 > ps_high 0.70.
-  EXPECT_TRUE(ctl.OnWindowEnd(MakeSegment(spec)));
-  EXPECT_EQ(store.Get().max_window_ps, 0);
-  ASSERT_EQ(ctl.decisions().size(), 1u);
-  EXPECT_EQ(ctl.decisions()[0].rule, "window-grow");
-}
-
-// --- Hysteresis (rule_patience) ---
-
-TEST(Controller, HysteresisDelaysRuleUntilPatienceWindows) {
-  TunableStore store;
-  ControllerConfig cfg = TestConfig();
-  cfg.rule_patience = 2;
-  Controller ctl(cfg, &store);
-  SegmentSpec spec;
-  spec.p_ns = 100;
-  spec.s_ns = 900;  // Window-shrink signal every window.
-  EXPECT_FALSE(ctl.OnWindowEnd(MakeSegment(spec)));  // Streak 1 of 2.
   EXPECT_EQ(store.epoch(), 0u);
-  EXPECT_TRUE(ctl.OnWindowEnd(MakeSegment(spec)));  // Streak 2: publish.
-  ASSERT_EQ(ctl.decisions().size(), 1u);
-  EXPECT_EQ(ctl.decisions()[0].rule, "window-shrink");
-}
-
-TEST(Controller, HysteresisStreakResetsOnAQuietWindow) {
-  TunableStore store;
-  ControllerConfig cfg = TestConfig();
-  cfg.rule_patience = 2;
-  Controller ctl(cfg, &store);
-  SegmentSpec noisy;
-  noisy.p_ns = 100;
-  noisy.s_ns = 900;
-  SegmentSpec quiet;  // Balanced P/S: no signal.
-  EXPECT_FALSE(ctl.OnWindowEnd(MakeSegment(noisy)));
-  EXPECT_FALSE(ctl.OnWindowEnd(MakeSegment(quiet)));  // Resets the streak.
-  EXPECT_FALSE(ctl.OnWindowEnd(MakeSegment(noisy)));  // Restarts at 1.
-  EXPECT_TRUE(ctl.OnWindowEnd(MakeSegment(noisy)));
-  EXPECT_EQ(store.epoch(), 1u);
+  EXPECT_TRUE(ctl.decisions().empty());
 }
 
 // --- Rebalance rule ---
@@ -274,7 +152,7 @@ TEST(Controller, RebalancePublishesLptMovesAfterPatience) {
   SegmentSpec spec;
   spec.resort_every = 4;
   spec.imb_first = 0.40;
-  spec.imb_last = 0.55;  // Drift 0.15: rule 2's dead band; mean imb > 0.25.
+  spec.imb_last = 0.55;  // Mean imbalance > 0.25.
   // Executor 0 carries 500 of 700 ns; LPT moves lp 1 over to executor 1.
   const std::vector<uint32_t> owner = {0, 0, 1, 1};
   const std::vector<uint64_t> cost = {400, 100, 100, 100};
@@ -402,7 +280,7 @@ TEST(Controller, RebalanceConsumesSmoothedCostsNotRawSpikes) {
   EXPECT_EQ(store.Get().moves[0].to, 1u);
 }
 
-// --- Spec-horizon rule (rule 5) ---
+// --- Spec-horizon rule (rule 3) ---
 
 WindowTraceSegment SpecWindow(uint32_t spec_rounds, uint32_t spec_misses) {
   WindowTraceSegment seg = MakeSegment(SegmentSpec{});  // Otherwise quiet.
@@ -459,6 +337,43 @@ TEST(Controller, SpecRuleStaysOffWithoutALiveHorizon) {
   EXPECT_TRUE(ctl.decisions().empty());
 }
 
+// --- Hysteresis (rule_patience) ---
+
+WindowTraceSegment MissWindow() { return SpecWindow(3, 1); }
+
+Tunables LiveHorizon() {
+  Tunables t;
+  t.spec_horizon_ps = 2'000'000;
+  return t;
+}
+
+TEST(Controller, HysteresisDelaysRuleUntilPatienceWindows) {
+  TunableStore store;
+  store.Seed(LiveHorizon());
+  ControllerConfig cfg = TestConfig();
+  cfg.rule_patience = 2;
+  Controller ctl(cfg, &store);
+  EXPECT_FALSE(ctl.OnWindowEnd(MissWindow()));  // Streak 1 of 2.
+  EXPECT_EQ(store.epoch(), 0u);
+  EXPECT_TRUE(ctl.OnWindowEnd(MissWindow()));  // Streak 2: publish.
+  ASSERT_EQ(ctl.decisions().size(), 1u);
+  EXPECT_EQ(ctl.decisions()[0].rule, "spec-narrow");
+}
+
+TEST(Controller, HysteresisStreakResetsOnAQuietWindow) {
+  TunableStore store;
+  store.Seed(LiveHorizon());
+  ControllerConfig cfg = TestConfig();
+  cfg.rule_patience = 2;
+  Controller ctl(cfg, &store);
+  const WindowTraceSegment quiet = SpecWindow(0, 0);  // No spec signal.
+  EXPECT_FALSE(ctl.OnWindowEnd(MissWindow()));
+  EXPECT_FALSE(ctl.OnWindowEnd(quiet));  // Resets the streak.
+  EXPECT_FALSE(ctl.OnWindowEnd(MissWindow()));  // Restarts at 1.
+  EXPECT_TRUE(ctl.OnWindowEnd(MissWindow()));
+  EXPECT_EQ(store.epoch(), 1u);
+}
+
 TEST(Controller, MinRoundsGateSkipsThinWindows) {
   TunableStore store;
   ControllerConfig cfg = TestConfig();
@@ -477,7 +392,7 @@ TEST(Controller, MinRoundsGateSkipsThinWindows) {
 TEST(Controller, QuietWindowPublishesNothing) {
   TunableStore store;
   Controller ctl(TestConfig(), &store);
-  SegmentSpec spec;  // Balanced P/S, no parks, no re-sorts.
+  SegmentSpec spec;  // No parks, no re-sorts, no speculation.
   EXPECT_FALSE(ctl.OnWindowEnd(MakeSegment(spec)));
   EXPECT_EQ(store.epoch(), 0u);
 }
@@ -499,14 +414,13 @@ TEST(TuningPlane, PublishedTunablesTakeEffectNextWindow) {
   EXPECT_EQ(s.net->kernel().window_tuning().parties, 4u);
 
   Tunables t = s.net->tunable_store().Get();
-  t.sched_period = 1;
   t.parties = 1;
   s.net->tunable_store().Publish(t);
   s.net->Run(Time::Milliseconds(2));
   EXPECT_EQ(s.net->kernel().window_tuning().epoch, 1u);
   EXPECT_EQ(s.net->kernel().window_tuning().parties, 1u);
-  EXPECT_EQ(s.net->kernel().window_tuning().sched_period, 1u);
   EXPECT_EQ(s.net->kernel().run_summary().tuning_epoch, 1u);
+  EXPECT_EQ(s.net->kernel().run_summary().parties, 1u);
 
   s.net->Run(Time::Milliseconds(5));
   const RunOutcome tuned = OutcomeOf(*s.net);
@@ -536,11 +450,36 @@ TEST(TuningPlane, PartiesClampToConfigDefault) {
   EXPECT_EQ(s.net->kernel().window_tuning().parties, 2u);
 }
 
-// kAuto end to end: an aggressive controller config guarantees at least one
-// window-shrink decision (it fires whenever any barrier time is observed, and
-// patience 1 lets the first eligible window publish it), the run slices
-// itself into more windows than the caller asked for, and the result is still
-// bit-identical to the static run.
+// A tuned unison kernel on a fat-tree scenario with a 5 ms horizon; the
+// caller picks the controller settings.
+std::unique_ptr<Network> BuildTunedFatTree(const ControllerConfig& tuning,
+                                           uint32_t sched_period = 0) {
+  SimConfig cfg;
+  cfg.kernel.type = KernelType::kUnison;
+  cfg.kernel.threads = 2;
+  cfg.kernel.sched_period = sched_period;
+  cfg.partition = PartitionMode::kAuto;
+  cfg.tuning = TuningMode::kAuto;
+  cfg.tuning_config = tuning;
+
+  auto net = std::make_unique<Network>(cfg);
+  FatTreeTopo topo = BuildFatTree(*net, 4, 10'000'000'000ULL,
+                                  Time::Microseconds(3));
+  net->Finalize();
+  GeneratePermutation(*net, topo.hosts, 200 * 1024, Time::Zero());
+  TrafficSpec traffic;
+  traffic.hosts = topo.hosts;
+  traffic.bisection_bps = topo.bisection_bps;
+  traffic.load = 0.1;
+  traffic.duration = Time::Milliseconds(5);
+  GenerateTraffic(*net, traffic);
+  return net;
+}
+
+// kAuto end to end: parks_per_round_high = 0 makes the oversubscription rule
+// fire on every eligible window until the party count reaches the floor, the
+// run slices itself into more windows than the caller asked for, and the
+// result is still bit-identical to the static run.
 TEST(TuningPlane, AutoTuningIsResultsNeutral) {
   KernelConfig kcfg;
   kcfg.type = KernelType::kUnison;
@@ -548,42 +487,51 @@ TEST(TuningPlane, AutoTuningIsResultsNeutral) {
 
   const RunOutcome off = RunFatTreeScenario(kcfg, PartitionMode::kAuto);
 
-  SimConfig cfg;
-  cfg.kernel = kcfg;
-  cfg.partition = PartitionMode::kAuto;
-  cfg.tuning = TuningMode::kAuto;
-  cfg.tuning_config.min_rounds = 1;
-  cfg.tuning_config.ps_low = 1.0;  // Shrink on every window with sync time.
-  cfg.tuning_config.min_window_ps = 500'000'000;  // Floor at 0.5 ms.
-  cfg.tuning_config.rule_patience = 1;
+  ControllerConfig tuning;
+  tuning.min_rounds = 1;
+  tuning.parks_per_round_high = 0.0;  // Fire on every eligible window.
+  std::unique_ptr<Network> net = BuildTunedFatTree(tuning);
+  net->Run(Time::Milliseconds(5));
 
-  Network net(cfg);
-  FatTreeTopo topo = BuildFatTree(net, 4, 10'000'000'000ULL,
-                                  Time::Microseconds(3));
-  net.Finalize();
-  GeneratePermutation(net, topo.hosts, 200 * 1024, Time::Zero());
-  TrafficSpec traffic;
-  traffic.hosts = topo.hosts;
-  traffic.bisection_bps = topo.bisection_bps;
-  traffic.load = 0.1;
-  traffic.duration = Time::Milliseconds(5);
-  GenerateTraffic(net, traffic);
-  net.Run(Time::Milliseconds(5));
+  ASSERT_NE(net->controller(), nullptr);
+  ASSERT_FALSE(net->controller()->decisions().empty());
+  EXPECT_EQ(net->controller()->decisions()[0].rule, "oversubscribed");
+  EXPECT_EQ(net->kernel().window_tuning().parties, 1u);
+  EXPECT_GT(net->tunable_store().epoch(), 0u);
+  // The tuned run slices its horizon, so one Run() became several windows.
+  EXPECT_GT(net->kernel().session_windows(), 1u);
 
-  ASSERT_NE(net.controller(), nullptr);
-  EXPECT_FALSE(net.controller()->decisions().empty());
-  bool shrank = false;
-  for (const Controller::Decision& d : net.controller()->decisions()) {
-    shrank = shrank || d.rule.find("window-shrink") != std::string::npos;
-  }
-  EXPECT_TRUE(shrank);
-  EXPECT_GT(net.tunable_store().epoch(), 0u);
-  // The controller bounded the horizon, so one Run() became several windows.
-  EXPECT_GT(net.kernel().session_windows(), 1u);
-
-  const RunOutcome tuned = OutcomeOf(net);
+  const RunOutcome tuned = OutcomeOf(*net);
   EXPECT_EQ(tuned.fingerprint, off.fingerprint);
   EXPECT_EQ(tuned.events, off.events);
+}
+
+// With tuning on, Network::Run cuts the caller's horizon into windows of
+// exactly window_ps, and the re-sort period stays the KernelConfig one
+// whatever the controller publishes.
+TEST(TuningPlane, TunedRunSlicesFixedWindowsOnTheStaticResortPeriod) {
+  ControllerConfig tuning;
+  tuning.min_rounds = 1;
+  tuning.parks_per_round_high = 0.0;
+  tuning.window_ps = 1'000'000'000;  // 1 ms.
+  std::unique_ptr<Network> net = BuildTunedFatTree(tuning, /*sched_period=*/3);
+  net->Run(Time::Milliseconds(5));
+
+  EXPECT_EQ(net->kernel().session_windows(), 5u);
+  ASSERT_EQ(net->run_trace().segments().size(), 5u);
+  for (const WindowTraceSegment& seg : net->run_trace().segments()) {
+    EXPECT_EQ(seg.summary.window_stop_ps - seg.summary.window_start_ps,
+              tuning.window_ps);
+    EXPECT_EQ(seg.summary.sched_period, 3u);
+  }
+  EXPECT_GT(net->tunable_store().epoch(), 0u);
+
+  // Left at 0, the period is ceil(log2 n) over the LP count (§4.3).
+  std::unique_ptr<Network> fallback = BuildTunedFatTree(tuning);
+  fallback->Run(Time::Milliseconds(1));
+  const uint32_t lps = fallback->kernel().num_lps();
+  EXPECT_EQ(fallback->kernel().window_tuning().sched_period,
+            static_cast<uint32_t>(std::bit_width(lps - 1)));
 }
 
 }  // namespace

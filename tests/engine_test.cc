@@ -14,9 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include <set>
-
-#include "src/kernel/engine/cpu_topology.h"
 #include "src/kernel/engine/executor_pool.h"
 #include "src/kernel/engine/phase_accountant.h"
 #include "src/kernel/engine/spec_checkpoint.h"
@@ -120,77 +117,20 @@ TEST(ExecutorPool, SinglePartyRunsInline) {
   EXPECT_EQ(ran, 1);
 }
 
-TEST(ExecutorPool, ApplyPlacementSpawnsNothingAndKeepsWorkersAlive) {
+TEST(ExecutorPool, UsableCoresCountsTheAllowedCpus) {
+  // The barrier's spin choice and the oversubscription rule's machine size
+  // both read this count; it must never be 0, and no thread pinning may
+  // narrow it between calls.
+  const uint32_t cores = CountUsableCpus();
+  EXPECT_GE(cores, 1u);
+  if (std::thread::hardware_concurrency() > 0) {
+    EXPECT_LE(cores, std::thread::hardware_concurrency());
+  }
   ExecutorPool pool;
   pool.Ensure(3);
-  const uint64_t spawned = pool.threads_spawned();
-  std::vector<std::atomic<int>> hits(3);
-  const auto tick = [&hits](uint32_t id) { hits[id].fetch_add(1); };
-
-  // Changing placement mid-session re-pins the existing workers lazily; it
-  // never respawns them, and every worker still executes every epoch.
-  pool.ApplyPlacement(AffinityPolicy::kCompact);
-  pool.Run(tick);
-  pool.ApplyPlacement(AffinityPolicy::kCompact);  // Same policy: no-op.
-  pool.Run(tick);
-  pool.ApplyPlacement(AffinityPolicy::kScatter);
-  pool.Run(tick);
-  pool.ApplyPlacement(AffinityPolicy::kNone);
-  pool.Run(tick);
-  EXPECT_EQ(pool.threads_spawned(), spawned);
-  for (auto& h : hits) {
-    EXPECT_EQ(h.load(), 4);
-  }
-}
-
-TEST(ExecutorPool, PlacementRoundTripRestoresCallerAffinity) {
-  // kCompact pins the caller (worker 0) to one core; kNone must widen it
-  // back to the full pre-pin mask, which the pool captured before pinning.
-  const size_t before = CpuTopology::Detect().cpus.size();
-  ExecutorPool pool;
-  pool.Ensure(2);
-  pool.ApplyPlacement(AffinityPolicy::kCompact);
-  pool.ApplyPlacement(AffinityPolicy::kNone);
-  pool.Run([](uint32_t) {});  // Let workers observe the placement epoch too.
-  EXPECT_EQ(CpuTopology::Detect().cpus.size(), before);
-}
-
-TEST(ExecutorPool, ApplyPlacementBeforeAnyPinIsANoOp) {
-  ExecutorPool pool;
-  pool.Ensure(2);
-  // kNone with nothing ever pinned must not touch the caller's mask.
-  const size_t before = CpuTopology::Detect().cpus.size();
-  pool.ApplyPlacement(AffinityPolicy::kNone);
-  EXPECT_EQ(CpuTopology::Detect().cpus.size(), before);
-}
-
-// --- CpuTopology ---
-
-TEST(CpuTopology, PlacementOrderIsAPermutationOfAllowedCpus) {
-  const CpuTopology topo = CpuTopology::Detect();
-  ASSERT_FALSE(topo.cpus.empty());  // Detect never returns empty.
-  std::set<uint32_t> allowed;
-  for (const auto& cpu : topo.cpus) {
-    allowed.insert(cpu.id);
-  }
-  EXPECT_TRUE(topo.PlacementOrder(AffinityPolicy::kNone).empty());
-  for (auto policy : {AffinityPolicy::kCompact, AffinityPolicy::kScatter}) {
-    const std::vector<uint32_t> order = topo.PlacementOrder(policy);
-    EXPECT_EQ(std::set<uint32_t>(order.begin(), order.end()), allowed);
-    EXPECT_EQ(order.size(), allowed.size());  // Each CPU exactly once.
-  }
-}
-
-TEST(CpuTopology, PolicyNamesRoundTrip) {
-  for (auto policy : {AffinityPolicy::kNone, AffinityPolicy::kCompact,
-                      AffinityPolicy::kScatter}) {
-    AffinityPolicy parsed = AffinityPolicy::kNone;
-    ASSERT_TRUE(AffinityPolicyFromName(AffinityPolicyName(policy), &parsed));
-    EXPECT_EQ(parsed, policy);
-  }
-  AffinityPolicy parsed = AffinityPolicy::kScatter;
-  EXPECT_FALSE(AffinityPolicyFromName("numa", &parsed));
-  EXPECT_EQ(parsed, AffinityPolicy::kScatter);  // Untouched on failure.
+  pool.Run([](uint32_t) {});
+  EXPECT_EQ(pool.usable_cores(), cores);
+  EXPECT_EQ(CountUsableCpus(), cores);
 }
 
 // --- PhaseAccountant ---

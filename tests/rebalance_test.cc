@@ -229,7 +229,7 @@ TEST(RebalanceTuning, AutoRebalanceIsResultsNeutral) {
   cfg.tuning_config.rebalance_patience = 1;
   cfg.tuning_config.rebalance_imbalance_high = 0.01;
   cfg.tuning_config.rebalance_cooldown = 1;
-  cfg.tuning_config.initial_window_ps = 500'000'000;  // 0.5 ms slices.
+  cfg.tuning_config.window_ps = 500'000'000;  // 0.5 ms slices.
   const RunOutcome got = RunFatTreeScenarioConfigured(cfg, 1);
 
   EXPECT_EQ(got.fingerprint, want.fingerprint);

@@ -497,11 +497,11 @@ TEST(SessionFork, ForkDynamicStateEqualsParent) {
 class ControllerTransparency : public ::testing::TestWithParam<int> {};
 
 // The controller-transparency matrix: every kernel, tuning off vs an
-// aggressive kAuto controller (react after a single round; treat every
-// window with observable sync time as shrink-worthy), produces bit-identical
+// aggressive kAuto controller (react after a single round; fit the parties
+// to the machine on every window, parks or not), produces bit-identical
 // fingerprints and digests. The controller only ever changes *how fast* the
-// session runs — party counts, re-sort cadence, window slicing — all of
-// which are results-neutral by the session invariants this file pins.
+// session runs — party counts, window slicing — all of which are
+// results-neutral by the session invariants this file pins.
 TEST_P(ControllerTransparency, TunedRunMatchesStaticRun) {
   const KernelCase kc = AllKernels()[GetParam()];
   SCOPED_TRACE(kc.name);
@@ -516,8 +516,8 @@ TEST_P(ControllerTransparency, TunedRunMatchesStaticRun) {
   SimConfig tuned = off;
   tuned.tuning = TuningMode::kAuto;
   tuned.tuning_config.min_rounds = 1;
-  tuned.tuning_config.ps_low = 1.0;
-  tuned.tuning_config.min_window_ps = 500'000'000;  // Floor at 0.5 ms.
+  tuned.tuning_config.parks_per_round_high = 0.0;  // Oversubscribed fires.
+  tuned.tuning_config.window_ps = 500'000'000;  // 0.5 ms slices.
   RunDigest tuned_digest;
   const RunOutcome tuned_out =
       RunFatTreeScenarioConfigured(tuned, 1, 4, 10, 5, &tuned_digest);
@@ -545,7 +545,7 @@ INSTANTIATE_TEST_SUITE_P(AllKernels, ControllerTransparency,
 TEST(SessionFork, TuningStateSurvivesForkAndDivergesIndependently) {
   KernelConfig k;
   k.type = KernelType::kUnison;
-  k.threads = 2;
+  k.threads = 3;
   const RunOutcome mono = RunFatTreeScenarioStreaming(k, PartitionMode::kAuto);
 
   FatTreeScenario parent = BuildFatTreeScenarioStreaming(k, PartitionMode::kAuto);
@@ -553,7 +553,7 @@ TEST(SessionFork, TuningStateSurvivesForkAndDivergesIndependently) {
 
   // "Learn" something before the snapshot: one published epoch.
   Tunables learned = parent.net->tunable_store().Get();
-  learned.sched_period = 3;
+  learned.parties = 2;
   parent.net->tunable_store().Publish(learned);
 
   Session session(parent.net.get());
@@ -562,28 +562,80 @@ TEST(SessionFork, TuningStateSurvivesForkAndDivergesIndependently) {
   std::unique_ptr<Network> fork = session.Fork(snap);
   // The fork resumes with the parent's learned settings, not config defaults.
   EXPECT_EQ(fork->tunable_store().epoch(), 1u);
-  EXPECT_EQ(fork->tunable_store().Get().sched_period, 3u);
+  EXPECT_EQ(fork->tunable_store().Get().parties, 2u);
 
   // Post-fork the two stores diverge independently.
   Tunables parent_next = parent.net->tunable_store().Get();
-  parent_next.sched_period = 7;
+  parent_next.parties = 3;
   parent.net->tunable_store().Publish(parent_next);
   Tunables fork_next = fork->tunable_store().Get();
-  fork_next.sched_period = 2;
+  fork_next.parties = 1;
   fork->tunable_store().Publish(fork_next);
-  EXPECT_EQ(parent.net->tunable_store().Get().sched_period, 7u);
-  EXPECT_EQ(fork->tunable_store().Get().sched_period, 2u);
+  EXPECT_EQ(parent.net->tunable_store().Get().parties, 3u);
+  EXPECT_EQ(fork->tunable_store().Get().parties, 1u);
 
   fork->Run(Time::Milliseconds(5));
   EXPECT_EQ(fork->kernel().window_tuning().epoch, 2u);
-  EXPECT_EQ(fork->kernel().window_tuning().sched_period, 2u);
+  EXPECT_EQ(fork->kernel().window_tuning().parties, 1u);
   EXPECT_EQ(fork->flow_monitor().Fingerprint(), mono.fingerprint);
   EXPECT_EQ(fork->kernel().session_events(), mono.events);
 
   parent.net->Run(Time::Milliseconds(5));
-  EXPECT_EQ(parent.net->kernel().window_tuning().sched_period, 7u);
+  EXPECT_EQ(parent.net->kernel().window_tuning().parties, 3u);
   EXPECT_EQ(parent.net->flow_monitor().Fingerprint(), mono.fingerprint);
   EXPECT_EQ(parent.net->kernel().session_events(), mono.events);
+}
+
+// Every ControllerConfig field is session identity: a fork (or a restore
+// from disk) builds its controller from the decoded config, so a field the
+// snapshot does not carry silently falls back to its default there.
+TEST(SessionFork, ForkKeepsEveryControllerSetting) {
+  SimConfig cfg;
+  cfg.kernel.type = KernelType::kUnison;
+  cfg.kernel.threads = 2;
+  cfg.partition = PartitionMode::kAuto;
+  cfg.tuning = TuningMode::kAuto;
+  ControllerConfig& c = cfg.tuning_config;
+  c.window_ps = 700'000'000;
+  c.parks_per_round_high = 6.5;
+  c.min_parties = 2;
+  c.cpu_limit = 3;
+  c.min_rounds = 5;
+  c.rule_patience = 4;
+  c.rebalance_imbalance_high = 0.125;
+  c.rebalance_patience = 6;
+  c.rebalance_cooldown = 7;
+  c.cost_ewma_alpha = 0.75;
+  c.spec_horizon_initial_ps = 3'000'000;
+  c.spec_horizon_min_ps = 500'000;
+  c.spec_horizon_max_ps = 2'000'000'000;
+
+  Network parent(cfg);
+  FatTreeTopo topo = BuildFatTree(parent, 4, 10'000'000'000ULL,
+                                  Time::Microseconds(3));
+  parent.Finalize();
+  GeneratePermutation(parent, topo.hosts, 50 * 1024, Time::Zero());
+  parent.Run(Time::Milliseconds(1));
+
+  Session session(&parent);
+  std::unique_ptr<Network> fork = session.Fork(session.Snapshot());
+  ASSERT_NE(parent.controller(), nullptr);
+  ASSERT_NE(fork->controller(), nullptr);
+  const ControllerConfig& want = parent.controller()->config();
+  const ControllerConfig& got = fork->controller()->config();
+  EXPECT_EQ(got.window_ps, want.window_ps);
+  EXPECT_EQ(got.parks_per_round_high, want.parks_per_round_high);
+  EXPECT_EQ(got.min_parties, want.min_parties);
+  EXPECT_EQ(got.cpu_limit, want.cpu_limit);
+  EXPECT_EQ(got.min_rounds, want.min_rounds);
+  EXPECT_EQ(got.rule_patience, want.rule_patience);
+  EXPECT_EQ(got.rebalance_imbalance_high, want.rebalance_imbalance_high);
+  EXPECT_EQ(got.rebalance_patience, want.rebalance_patience);
+  EXPECT_EQ(got.rebalance_cooldown, want.rebalance_cooldown);
+  EXPECT_EQ(got.cost_ewma_alpha, want.cost_ewma_alpha);
+  EXPECT_EQ(got.spec_horizon_initial_ps, want.spec_horizon_initial_ps);
+  EXPECT_EQ(got.spec_horizon_min_ps, want.spec_horizon_min_ps);
+  EXPECT_EQ(got.spec_horizon_max_ps, want.spec_horizon_max_ps);
 }
 
 // --- Speculative window execution ---

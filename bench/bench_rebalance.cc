@@ -1,14 +1,14 @@
 // Controller-driven LP migration on a skewed fat-tree: static hybrid
-// partition vs the live tuning plane (tuning=auto) with the rebalance rule.
+// partition vs tuning=auto, whose controller runs the rebalance rule.
 //
 // The workload concentrates most of the load inside pod 0 (a "hot rack"
 // pattern), while the hybrid kernel's setup partition slices LPs across
 // ranks by node range — so one rank starts out carrying the hot pod and the
 // per-round imbalance stays high no matter how the claim order is re-sorted.
-// That is exactly the gap PR 9 closes: the controller's rebalance rule
-// watches mean per-round imbalance, computes an LPT move set from the per-LP
-// window costs, and publishes it through the tunable epoch; the kernel
-// relocates the LP→rank binding at the next window boundary.
+// The controller's rebalance rule watches mean per-round imbalance, computes
+// an LPT move set from the per-LP window costs, and returns it to
+// Network::Run, which stages it; the kernel relocates the LP→rank binding at
+// the next window boundary.
 //
 // The pass criteria are the refactor's contract, not raw speed:
 // bit-identical FlowMonitor fingerprints and event counts (migration must
@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
-#include <string>
 
 #include "bench/bench_util.h"
 
@@ -36,11 +35,9 @@ struct RebalanceRun {
   uint64_t events = 0;
   uint32_t windows = 0;
   uint64_t migration_batches = 0;  // Ownership-map epoch at end of run.
-  size_t decisions = 0;
   size_t rebalance_decisions = 0;
   double observed_imbalance = 0.0;   // From the first rebalance decision.
   double predicted_imbalance = 0.0;
-  std::string rules;
 };
 
 // k=4 fat-tree with the load concentrated in pod 0: every pod-0 host
@@ -83,22 +80,12 @@ RebalanceRun RunOnce(SimConfig cfg, Time duration) {
   out.events = net.kernel().session_events();
   out.windows = net.kernel().session_windows();
   out.migration_batches = net.kernel().partition_map().epoch();
-  if (net.controller() != nullptr) {
-    out.decisions = net.controller()->decisions().size();
-    for (const Controller::Decision& d : net.controller()->decisions()) {
-      if (!out.rules.empty()) {
-        out.rules += ';';
-      }
-      out.rules += d.rule;
-      // A window's decision names every rule that fired, comma-joined.
-      if (d.rule.find("rebalance") != std::string::npos) {
-        if (out.rebalance_decisions == 0) {
-          out.observed_imbalance = d.observed_imbalance;
-          out.predicted_imbalance = d.predicted_imbalance;
-        }
-        ++out.rebalance_decisions;
-      }
-    }
+  if (net.controller() != nullptr &&
+      !net.controller()->decisions().empty()) {
+    const Controller::Decision& first = net.controller()->decisions().front();
+    out.rebalance_decisions = net.controller()->decisions().size();
+    out.observed_imbalance = first.observed_imbalance;
+    out.predicted_imbalance = first.predicted_imbalance;
   }
   return out;
 }
@@ -144,14 +131,13 @@ int main(int argc, char** argv) {
              "0"});
   table.Row({"rebalanced", Fmt("%.1f", tu.wall_ns * 1e-6), Fmt("%u", tu.windows),
              Fmt("%llu", static_cast<unsigned long long>(tu.migration_batches)),
-             Fmt("%zu", tu.decisions)});
+             Fmt("%zu", tu.rebalance_decisions)});
   table.Print();
   std::printf(
       "  speedup %.2fx, fingerprints %s, rebalances %zu "
-      "(imbalance %.3f -> predicted %.3f), rules: %s\n",
+      "(imbalance %.3f -> predicted %.3f)\n",
       speedup, fingerprint_match ? "match" : "DIVERGE", tu.rebalance_decisions,
-      tu.observed_imbalance, tu.predicted_imbalance,
-      tu.rules.empty() ? "(none)" : tu.rules.c_str());
+      tu.observed_imbalance, tu.predicted_imbalance);
 
   const bool pass = fingerprint_match && tu.rebalance_decisions >= 1 &&
                     tu.migration_batches >= 1;
@@ -163,19 +149,17 @@ int main(int argc, char** argv) {
         "{\n  \"bench\": \"rebalance\",\n  \"quick\": %s,\n"
         "  \"static_wall_ns\": %llu,\n  \"tuned_wall_ns\": %llu,\n"
         "  \"speedup\": %.4f,\n  \"fingerprint_match\": %s,\n"
-        "  \"decisions\": %zu,\n  \"rebalance_decisions\": %zu,\n"
+        "  \"rebalance_decisions\": %zu,\n"
         "  \"migration_batches\": %llu,\n"
         "  \"observed_imbalance\": %.4f,\n  \"predicted_imbalance\": %.4f,\n"
-        "  \"rules\": \"%s\",\n"
         "  \"windows_static\": %u,\n  \"windows_tuned\": %u,\n"
         "  \"events\": %llu,\n  \"pass\": %s\n}\n",
         quick ? "true" : "false",
         static_cast<unsigned long long>(st.wall_ns),
         static_cast<unsigned long long>(tu.wall_ns), speedup,
-        fingerprint_match ? "true" : "false", tu.decisions,
-        tu.rebalance_decisions,
+        fingerprint_match ? "true" : "false", tu.rebalance_decisions,
         static_cast<unsigned long long>(tu.migration_batches),
-        tu.observed_imbalance, tu.predicted_imbalance, tu.rules.c_str(),
+        tu.observed_imbalance, tu.predicted_imbalance,
         st.windows, tu.windows,
         static_cast<unsigned long long>(tu.events), pass ? "true" : "false");
     std::fclose(out);

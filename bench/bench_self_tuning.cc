@@ -1,27 +1,25 @@
-// Closed-loop self-tuning on an oversubscribed host: static KernelConfig
-// defaults vs the live tuning plane (tuning=auto), same scenario, same
-// results.
+// Self-tuning on an oversubscribed host: static KernelConfig defaults vs
+// tuning=auto, same scenario, same results.
 //
 // The static run drives a Unison kernel with several times more worker
 // threads than the machine has cores — the configuration PARSIR (PAPERS.md)
 // warns about, where every reduction barrier parks in the futex behind
 // descheduled peers. The tuned run starts from the identical config with
-// TuningMode::kAuto: the controller watches parked/round at each window
-// boundary and fits the party count to the actual machine; Network::Run
-// slices the tuned run into 0.5 ms windows so the controller observes often.
+// TuningMode::kAuto: Network::Finalize fits the worker count to the usable
+// CPUs once, and Network::Run slices the run into 0.5 ms windows for the
+// rebalance rule.
 //
-// The pass criteria are the refactor's contract, not raw speed: bit-identical
-// FlowMonitor fingerprints (tuning must never change results), at least one
-// published decision, and a final party count that fits the machine. Wall
-// times are reported honestly for whatever host runs this; the speedup is
-// CI-gated with a generous floor because barrier overhead is only a fraction
-// of a small scenario's runtime.
+// The pass criteria are the contract, not raw speed: bit-identical
+// FlowMonitor fingerprints (tuning must never change results), a final
+// executor count that fits the machine, and a run that was actually sliced
+// into windows. Wall times are reported honestly for whatever host runs
+// this; the speedup is CI-gated with a generous floor because barrier
+// overhead is only a fraction of a small scenario's runtime.
 //
 // Emits BENCH_self_tuning.json.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <string>
 
 #include "bench/bench_util.h"
 
@@ -35,10 +33,7 @@ struct TunedRun {
   uint64_t fingerprint = 0;
   uint64_t events = 0;
   uint32_t windows = 0;
-  uint32_t final_parties = 0;
-  uint64_t final_epoch = 0;
-  size_t decisions = 0;
-  std::string rules;
+  uint32_t executors = 0;
 };
 
 TunedRun RunOnce(SimConfig cfg, const FatTreeScenario& sc) {
@@ -51,17 +46,7 @@ TunedRun RunOnce(SimConfig cfg, const FatTreeScenario& sc) {
   out.fingerprint = net.flow_monitor().Fingerprint();
   out.events = net.kernel().session_events();
   out.windows = net.kernel().session_windows();
-  out.final_parties = net.kernel().window_tuning().parties;
-  out.final_epoch = net.kernel().window_tuning().epoch;
-  if (net.controller() != nullptr) {
-    out.decisions = net.controller()->decisions().size();
-    for (const Controller::Decision& d : net.controller()->decisions()) {
-      if (!out.rules.empty()) {
-        out.rules += ';';
-      }
-      out.rules += d.rule;
-    }
-  }
+  out.executors = net.kernel().MaxExecutors();
   return out;
 }
 
@@ -85,15 +70,14 @@ int main(int argc, char** argv) {
   base.kernel.type = KernelType::kUnison;
   base.kernel.threads = threads;
 
-  std::printf("self-tuning: k=%u fat-tree, %u threads on %u cpu(s), %s\n",
-              sc.k, threads, cpus, quick ? "quick" : "full");
+  std::printf("self-tuning: k=4 fat-tree, %u threads on %u cpu(s), %s\n",
+              threads, cpus, quick ? "quick" : "full");
 
   const TunedRun st = RunOnce(base, sc);
 
   SimConfig tuned = base;
   tuned.tuning = TuningMode::kAuto;
   tuned.tuning_config.min_rounds = 1;
-  tuned.tuning_config.parks_per_round_high = 0.25;
   tuned.tuning_config.window_ps = 500'000'000;  // 0.5 ms slices.
   const TunedRun tu = RunOnce(tuned, sc);
 
@@ -104,21 +88,17 @@ int main(int argc, char** argv) {
   const bool fingerprint_match =
       tu.fingerprint == st.fingerprint && tu.events == st.events;
 
-  Table table({"run", "wall ms", "windows", "parties", "epoch", "decisions"});
+  Table table({"run", "wall ms", "windows", "executors"});
   table.Row({"static", Fmt("%.1f", st.wall_ns * 1e-6), Fmt("%u", st.windows),
-             Fmt("%u", st.final_parties), Fmt("%llu",
-             static_cast<unsigned long long>(st.final_epoch)), "0"});
+             Fmt("%u", st.executors)});
   table.Row({"tuned", Fmt("%.1f", tu.wall_ns * 1e-6), Fmt("%u", tu.windows),
-             Fmt("%u", tu.final_parties), Fmt("%llu",
-             static_cast<unsigned long long>(tu.final_epoch)),
-             Fmt("%zu", tu.decisions)});
+             Fmt("%u", tu.executors)});
   table.Print();
-  std::printf("  speedup %.2fx, fingerprints %s, rules: %s\n", speedup,
-              fingerprint_match ? "match" : "DIVERGE",
-              tu.rules.empty() ? "(none)" : tu.rules.c_str());
+  std::printf("  speedup %.2fx, fingerprints %s\n", speedup,
+              fingerprint_match ? "match" : "DIVERGE");
 
-  const bool pass = fingerprint_match && tu.decisions >= 1 &&
-                    tu.final_parties <= threads && tu.windows > st.windows;
+  const bool pass =
+      fingerprint_match && tu.executors <= cpus && tu.windows > st.windows;
 
   FILE* out = std::fopen("BENCH_self_tuning.json", "w");
   if (out != nullptr) {
@@ -128,17 +108,15 @@ int main(int argc, char** argv) {
         "  \"cpus\": %u,\n  \"threads\": %u,\n"
         "  \"static_wall_ns\": %llu,\n  \"tuned_wall_ns\": %llu,\n"
         "  \"speedup\": %.4f,\n  \"fingerprint_match\": %s,\n"
-        "  \"decisions\": %zu,\n  \"rules\": \"%s\",\n"
         "  \"windows_static\": %u,\n  \"windows_tuned\": %u,\n"
-        "  \"final_parties\": %u,\n  \"final_epoch\": %llu,\n"
+        "  \"final_executors\": %u,\n"
         "  \"events\": %llu,\n  \"pass\": %s\n}\n",
         quick ? "true" : "false", cpus, threads,
         static_cast<unsigned long long>(st.wall_ns),
         static_cast<unsigned long long>(tu.wall_ns), speedup,
-        fingerprint_match ? "true" : "false", tu.decisions, tu.rules.c_str(),
-        st.windows, tu.windows, tu.final_parties,
-        static_cast<unsigned long long>(tu.final_epoch),
-        static_cast<unsigned long long>(tu.events), pass ? "true" : "false");
+        fingerprint_match ? "true" : "false", st.windows, tu.windows,
+        tu.executors, static_cast<unsigned long long>(tu.events),
+        pass ? "true" : "false");
     std::fclose(out);
     std::printf("wrote BENCH_self_tuning.json\n");
   }

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <utility>
 
-#include "src/kernel/engine/executor_pool.h"
 #include "src/sched/lpt.h"
 
 namespace unison {
@@ -37,31 +35,7 @@ bool RoundImbalance(const std::vector<std::vector<uint64_t>>& round_p,
   return true;
 }
 
-// Hysteresis helper: `signal` observed this window extends the streak (and
-// resets the opposite direction's); returns true — and restarts the streak —
-// once it has held for `patience` consecutive eligible windows.
-bool StreakFire(bool signal, uint32_t patience, uint32_t* streak,
-                uint32_t* opposite) {
-  if (!signal) {
-    *streak = 0;
-    return false;
-  }
-  *opposite = 0;
-  if (++*streak < std::max(1u, patience)) {
-    return false;
-  }
-  *streak = 0;
-  return true;
-}
 }  // namespace
-
-Controller::Controller(const ControllerConfig& config, TunableStore* store)
-    : config_(config), store_(store) {
-  if (config_.cpu_limit == 0) {
-    config_.cpu_limit = CountUsableCpus();
-  }
-  config_.cpu_limit = std::max(1u, config_.cpu_limit);
-}
 
 double Controller::MeanRoundImbalance(const WindowTraceSegment& segment) {
   double total = 0.0;
@@ -76,21 +50,19 @@ double Controller::MeanRoundImbalance(const WindowTraceSegment& segment) {
   return usable == 0 ? 0.0 : total / usable;
 }
 
-bool Controller::OnWindowEnd(const WindowTraceSegment& segment,
-                             const OwnershipView& view) {
-  const RunSummary& sum = segment.summary;
-  const uint64_t rounds = segment.records.size();
-  if (rounds < std::max(1u, config_.min_rounds)) {
+std::vector<LpMove> Controller::OnWindowEnd(const WindowTraceSegment& segment,
+                                             const OwnershipView& view) {
+  if (segment.records.size() < std::max(1u, config_.min_rounds)) {
     // Too little signal — and the sequential/null-message kernels, which
     // have no synchronization rounds at all, land here every window. Thin
-    // windows neither extend nor reset the hysteresis streaks.
-    return false;
+    // windows neither extend nor reset the streak.
+    return {};
   }
 
-  // Cost smoothing for the rebalance rule: fold this window's per-LP costs
-  // into the EWMA whether or not the rule fires, so the vector it eventually
-  // schedules from reflects the whole high-imbalance stretch, not just the
-  // window that tipped the streak.
+  // Cost smoothing: fold this window's per-LP costs into the EWMA whether
+  // or not the rule fires, so the vector it eventually schedules from
+  // reflects the whole high-imbalance stretch, not just the window that
+  // tipped the streak.
   if (view.lp_cost_ns != nullptr) {
     const std::vector<uint64_t>& raw = *view.lp_cost_ns;
     const double alpha = std::clamp(config_.cost_ewma_alpha, 0.0, 1.0);
@@ -105,149 +77,69 @@ bool Controller::OnWindowEnd(const WindowTraceSegment& segment,
     }
   }
 
-  Tunables next = store_->Get();
-  std::string rule;
-  const auto fire = [&rule](const char* name) {
-    if (!rule.empty()) {
-      rule += ',';
-    }
-    rule += name;
-  };
-
-  const uint32_t knob = std::max(1u, sum.parties);
-  const uint32_t executors = std::max(1u, sum.executors);
-
-  // Rule 1 — oversubscription: futex parks at the reduction barrier mean
-  // workers waiting on descheduled peers. Fit the party knob to the machine.
-  uint64_t parked = 0;
-  for (const RoundTraceRecord& rec : segment.records) {
-    parked += rec.parked;
-  }
-  if (static_cast<double>(parked) / static_cast<double>(rounds) >=
-      config_.parks_per_round_high) {
-    uint32_t want = knob;
-    if (executors > config_.cpu_limit) {
-      // Scale the knob so the *total* executor count fits the machine (the
-      // knob is lanes-per-rank for hybrid, so knob != executors there).
-      want = static_cast<uint32_t>(static_cast<uint64_t>(knob) *
-                                   config_.cpu_limit / executors);
-    } else {
-      want = knob / 2;
-    }
-    want = std::max(config_.min_parties, want);
-    if (want < knob) {
-      next.parties = want;
-      fire("oversubscribed");
-    }
-  }
-
   bool any_resort = false;
   for (const RoundTraceRecord& rec : segment.records) {
     any_resort = any_resort || rec.resorted;
   }
 
-  // Rule 2 — rebalance: imbalance that re-sorting keeps failing to fix
-  // means the *assignment* is skewed, not the claim order — no ordering of
-  // the same per-executor LP sets can shed load across the boundary. After
-  // `rebalance_patience` consecutive high-imbalance windows, recompute the
-  // placement outright: LPT over the recorded per-LP window costs, published
-  // as a move set the kernel applies at its next window boundary.
-  double observed_imbalance = 0.0;
-  double predicted_imbalance = 0.0;
-  bool rebalanced = false;
-  const bool rebalance_eligible =
-      view.movable && view.num_executors > 1 && view.owner_of_lp != nullptr &&
-      view.lp_cost_ns != nullptr && any_resort && executors > 1 &&
-      !segment.round_p.empty();
+  // Imbalance that re-sorting keeps failing to fix means the *assignment* is
+  // skewed, not the claim order — no ordering of the same per-executor LP
+  // sets can shed load across the boundary. After `rebalance_patience`
+  // consecutive high-imbalance windows, recompute the placement outright:
+  // LPT over the smoothed per-LP window costs, returned as a move set the
+  // kernel applies at its next window boundary.
+  const bool eligible = view.movable && view.num_executors > 1 &&
+                        view.owner_of_lp != nullptr &&
+                        view.lp_cost_ns != nullptr && any_resort &&
+                        segment.summary.executors > 1 &&
+                        !segment.round_p.empty();
   if (rebalance_cooldown_left_ > 0) {
     --rebalance_cooldown_left_;
     rebalance_streak_ = 0;
-  } else if (rebalance_eligible) {
-    const double imb = MeanRoundImbalance(segment);
-    if (imb > config_.rebalance_imbalance_high) {
-      ++rebalance_streak_;
-    } else {
-      rebalance_streak_ = 0;
-    }
-    if (rebalance_streak_ >= std::max(1u, config_.rebalance_patience)) {
-      // Schedule from the smoothed costs, rounded back to the LPT input
-      // units (ns; well below any value where rounding could flip a
-      // decision).
-      std::vector<uint64_t> cost(ewma_cost_.size());
-      for (size_t i = 0; i < ewma_cost_.size(); ++i) {
-        cost[i] = static_cast<uint64_t>(ewma_cost_[i] + 0.5);
-      }
-      const std::vector<uint32_t>& owner = *view.owner_of_lp;
-      uint64_t total_cost = 0;
-      for (uint64_t c : cost) {
-        total_cost += c;
-      }
-      if (cost.size() == owner.size() && total_cost > 0) {
-        std::vector<uint32_t> assign;
-        const uint64_t makespan = ListScheduleMakespan(
-            cost, SortByCostDescending(cost), view.num_executors, &assign);
-        std::vector<LpMove> moves;
-        for (uint32_t lp = 0; lp < owner.size(); ++lp) {
-          if (assign[lp] != owner[lp]) {
-            moves.push_back(LpMove{lp, assign[lp]});
-          }
-        }
-        if (!moves.empty()) {
-          observed_imbalance = imb;
-          predicted_imbalance = static_cast<double>(makespan) *
-                                    static_cast<double>(view.num_executors) /
-                                    static_cast<double>(total_cost) -
-                                1.0;
-          next.moves = std::move(moves);
-          next.rebalance_seq = store_->Get().rebalance_seq + 1;
-          fire("rebalance");
-          rebalanced = true;
-        }
-      }
-      rebalance_streak_ = 0;
-      rebalance_cooldown_left_ = config_.rebalance_cooldown;
-    }
+    return {};
   }
+  if (!eligible) {
+    return {};
+  }
+  const double imb = MeanRoundImbalance(segment);
+  rebalance_streak_ =
+      imb > config_.rebalance_imbalance_high ? rebalance_streak_ + 1 : 0;
+  if (rebalance_streak_ < std::max(1u, config_.rebalance_patience)) {
+    return {};
+  }
+  rebalance_streak_ = 0;
+  rebalance_cooldown_left_ = config_.rebalance_cooldown;
 
-  // Rule 3 — speculation horizon: a miss means the whole window ran twice
-  // plus a rollback (pure waste), so a miss streak halves the horizon toward
-  // the floor; a streak of windows that speculated and committed cleanly
-  // means the horizon is leaving free wall-clock on the table — double it
-  // toward the cap. Gated on the knob being live: Finalize seeds it only
-  // under SimConfig::speculation == kAuto, so for every other session the
-  // rule is inert. Results-neutral by the speculation contract.
-  const int64_t horizon = store_->Get().spec_horizon_ps;
-  if (horizon > 0) {
-    if (StreakFire(sum.spec_misses > 0, config_.rule_patience,
-                   &spec_narrow_streak_, &spec_widen_streak_)) {
-      const int64_t want = std::max(config_.spec_horizon_min_ps, horizon / 2);
-      if (want != next.spec_horizon_ps) {
-        next.spec_horizon_ps = want;
-        fire("spec-narrow");
-      }
-    }
-    if (StreakFire(sum.spec_rounds > 0 && sum.spec_misses == 0,
-                   config_.rule_patience, &spec_widen_streak_,
-                   &spec_narrow_streak_)) {
-      const int64_t want = std::min(config_.spec_horizon_max_ps, horizon * 2);
-      if (want != next.spec_horizon_ps) {
-        next.spec_horizon_ps = want;
-        fire("spec-widen");
-      }
+  // Schedule from the smoothed costs, rounded back to the LPT input units
+  // (ns; well below any value where rounding could flip a decision).
+  std::vector<uint64_t> cost(ewma_cost_.size());
+  uint64_t total_cost = 0;
+  for (size_t i = 0; i < ewma_cost_.size(); ++i) {
+    cost[i] = static_cast<uint64_t>(ewma_cost_[i] + 0.5);
+    total_cost += cost[i];
+  }
+  const std::vector<uint32_t>& owner = *view.owner_of_lp;
+  if (cost.size() != owner.size() || total_cost == 0) {
+    return {};
+  }
+  std::vector<uint32_t> assign;
+  const uint64_t makespan = ListScheduleMakespan(
+      cost, SortByCostDescending(cost), view.num_executors, &assign);
+  std::vector<LpMove> moves;
+  for (uint32_t lp = 0; lp < owner.size(); ++lp) {
+    if (assign[lp] != owner[lp]) {
+      moves.push_back(LpMove{lp, assign[lp]});
     }
   }
-
-  if (rule.empty()) {
-    return false;
+  if (!moves.empty()) {
+    const double predicted = static_cast<double>(makespan) *
+                                 static_cast<double>(view.num_executors) /
+                                 static_cast<double>(total_cost) -
+                             1.0;
+    decisions_.push_back(
+        Decision{segment.summary.window_index, imb, predicted});
   }
-  store_->Publish(next);
-  Decision d{store_->epoch(), sum.window_index, std::move(rule), next};
-  if (rebalanced) {
-    d.observed_imbalance = observed_imbalance;
-    d.predicted_imbalance = predicted_imbalance;
-  }
-  decisions_.push_back(std::move(d));
-  return true;
+  return moves;
 }
 
 }  // namespace unison

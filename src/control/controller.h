@@ -1,43 +1,31 @@
-// Trace-driven closed-loop controller: turns WindowTraceSegments into
-// tunable updates.
+// Trace-driven closed-loop controller: turns WindowTraceSegments into LP
+// ownership moves.
 //
 // The kernel already measures everything a tuner needs — per-round P/S/M,
-// barrier latency, futex parks, re-sort markers — but until this module every
-// knob was frozen at MakeKernel. The controller closes the loop: it consumes
-// each completed window's trace segment (never anything mid-round, so
-// simulation results are bit-identical with tuning on or off — scheduling
-// order, party count, and window slicing are all results-neutral by the
-// session invariants established in PRs 4–6) and publishes at most one
-// tunable epoch per window:
+// re-sort markers, per-LP window costs. The controller consumes each
+// completed window's trace segment (never anything mid-round) and runs one
+// rule:
 //
-//   rule              | signal (from the segment)        | action
-//   ------------------+----------------------------------+----------------------
-//   oversubscribed    | parked/round >= threshold        | parties -> fit the
-//                     |                                  | machine
-//   rebalance         | mean per-round imbalance stays   | publish an LPT
-//                     | high for K windows despite       | move set; kernels
-//                     | re-sorts                         | migrate LPs at the
-//                     |                                  | next boundary
-//   spec horizon      | speculation miss / clean-commit  | halve/double the
-//                     | streaks (RunSummary spec stats)  | speculative horizon
+//   rule       | signal (from the segment)          | action
+//   -----------+------------------------------------+-------------------------
+//   rebalance  | mean per-round imbalance stays     | return an LPT move set;
+//              | high for K windows despite         | Network::Run stages it
+//              | re-sorts                           | and the kernel migrates
+//              |                                    | LPs at the next boundary
 //
-// The re-sort period stays the static one of §4.3 (KernelConfig, else
-// ceil(log2 n)), and Network::Run slices a tuned run into fixed windows of
-// `window_ps`. The spec rule carries hysteresis: each direction must be
-// observed for `rule_patience` consecutive eligible windows before its epoch
-// publishes, so a single noisy window cannot flip the horizon.
-//
-// PARSIR's observation (PAPERS.md) is that exploiting the *actual*
-// multiprocessor — not the nominal one — is the whole game; the
-// oversubscription rule is exactly that, applied unattended.
+// Everything else is static for the session: the re-sort period is the one
+// of §4.3 (KernelConfig, else ceil(log2 n)), Network::Run slices a tuned run
+// into fixed windows of `window_ps`, Network::Finalize fits the worker count
+// to the usable CPUs once, and the speculation horizon is
+// `spec_horizon_initial_ps`. Which executor runs an LP is unobservable in
+// the results, so tuned and static runs are bit-identical.
 #ifndef UNISON_SRC_CONTROL_CONTROLLER_H_
 #define UNISON_SRC_CONTROL_CONTROLLER_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "src/control/tunables.h"
+#include "src/partition/partition_map.h"
 #include "src/stats/trace.h"
 
 namespace unison {
@@ -49,23 +37,9 @@ struct ControllerConfig {
   // so the size only affects wall time.
   int64_t window_ps = 1'000'000'000;  // 1 ms of simulated time.
 
-  // Oversubscription rule: mean futex parks per round across the window's
-  // reduction barriers. Parks mean workers waiting on descheduled peers —
-  // the signature of more parties than the machine can run.
-  double parks_per_round_high = 4.0;
-  uint32_t min_parties = 1;
-  // Machine size used to fit the party count; 0 = detect at construction.
-  uint32_t cpu_limit = 0;
-
   // Windows with fewer rounds than this carry too little signal to act on
   // (and sequential/null-message windows have no round records at all).
   uint32_t min_rounds = 8;
-
-  // Hysteresis for the spec-horizon rule: how many consecutive eligible
-  // windows must show the same out-of-band signal before that direction
-  // publishes. 1 = act on the first window. Thin windows (below min_rounds)
-  // neither extend nor reset a streak.
-  uint32_t rule_patience = 2;
 
   // Rebalance rule: when the mean per-round processing imbalance (busiest
   // executor's share over the ideal 1/W share, minus one) stays above
@@ -86,42 +60,31 @@ struct ControllerConfig {
   // weight of the newest window; 1.0 reproduces the raw (PR 9) behaviour.
   double cost_ewma_alpha = 0.5;
 
-  // Rule 3 — speculation horizon (active only when the live spec_horizon_ps
-  // tunable is nonzero, i.e. SimConfig::speculation == kAuto). A missed
-  // speculative window costs roughly the window twice plus the rollback, so
-  // a miss streak halves the horizon toward the floor; a streak of windows
-  // that speculated cleanly doubles it toward the cap. Both directions carry
-  // the `rule_patience` hysteresis. The horizon is results-neutral by the
-  // speculation contract (misses roll back), so this rule only ever trades
-  // wall time.
-  int64_t spec_horizon_initial_ps = 2'000'000;      // Seed: 2 us.
-  int64_t spec_horizon_min_ps = 250'000;            // Floor: 0.25 us.
-  int64_t spec_horizon_max_ps = 1'000'000'000;      // Cap: 1 ms.
+  // Speculative window execution (SimConfig::speculation == kAuto): how far
+  // past the Eq. 2 LBTS bound a round may optimistically extend, in
+  // picoseconds. It is the session's fixed horizon, read at Finalize whether
+  // tuning is on or off. Results-neutral: a causality miss rolls back to the
+  // window checkpoint and re-runs conservatively.
+  int64_t spec_horizon_initial_ps = 2'000'000;  // 2 us.
 };
 
 class Controller {
  public:
-  Controller(const ControllerConfig& config, TunableStore* store);
+  explicit Controller(const ControllerConfig& config) : config_(config) {}
 
-  // Consumes one completed window's segment; publishes at most one tunable
-  // epoch. Returns true when something was published. Call only between
-  // Run() windows. `view` is the kernel's ownership state for the rebalance
-  // rule; the default (empty) view disables that rule, which keeps synthetic
+  // Consumes one completed window's segment and returns the move set to
+  // stage for the next window (empty when the rule does not fire). Call
+  // only between Run() windows. `view` is the kernel's ownership state; the
+  // default (empty) view disables the rule, which keeps synthetic
   // single-segment callers meaningful.
-  bool OnWindowEnd(const WindowTraceSegment& segment,
-                   const OwnershipView& view = {});
+  std::vector<LpMove> OnWindowEnd(const WindowTraceSegment& segment,
+                                  const OwnershipView& view = {});
 
-  // Audit log: one entry per published epoch.
+  // Audit log: one entry per published move set, with the observed mean
+  // round imbalance that triggered it and the imbalance the LPT assignment
+  // predicts for the post-move placement (makespan * W / total - 1).
   struct Decision {
-    uint64_t epoch = 0;
     uint32_t window = 0;
-    std::string rule;  // "oversubscribed" | "rebalance" | "spec-narrow" |
-                       // "spec-widen" (comma-joined when several rules
-                       // fire in one window).
-    Tunables tunables;
-    // Rebalance decisions only: the observed mean round imbalance that
-    // triggered the move set, and the imbalance the LPT assignment predicts
-    // for the post-move placement (makespan * W / total - 1).
     double observed_imbalance = 0.0;
     double predicted_imbalance = 0.0;
   };
@@ -140,13 +103,11 @@ class Controller {
 
  private:
   ControllerConfig config_;
-  TunableStore* const store_;
   std::vector<Decision> decisions_;
-  // Streaks: consecutive eligible windows showing each signal.
+  // Consecutive eligible high-imbalance windows, and windows left before
+  // the streak may begin again after a publish.
   uint32_t rebalance_streak_ = 0;
   uint32_t rebalance_cooldown_left_ = 0;
-  uint32_t spec_narrow_streak_ = 0;
-  uint32_t spec_widen_streak_ = 0;
   // EWMA state for the rebalance cost vector, indexed by LP.
   std::vector<double> ewma_cost_;
 };

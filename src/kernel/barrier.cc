@@ -9,11 +9,10 @@ void BarrierKernel::Setup(const TopoGraph& graph, const Partition& partition) {
   const uint32_t ranks = num_lps();
   // Rank r starts out owning LP r (the classic 1:1 pinning); the rank count
   // stays structural, but which LPs a rank serves is live — migrations
-  // re-home LPs across the same rank set at window boundaries. Only
-  // placement is tunable: the rank count is not a live knob.
+  // re-home LPs across the same rank set at window boundaries.
   pmap_.ResetBlocked(ranks, ranks);
   ownership_movable_ = true;
-  SetupRounds("barrier", /*domains=*/1, ranks, /*lanes_tunable=*/false);
+  SetupRounds("barrier", /*domains=*/1, ranks);
 }
 
 void BarrierKernel::RoundLoop(uint32_t rank) {

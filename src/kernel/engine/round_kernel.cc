@@ -4,13 +4,10 @@
 
 namespace unison {
 
-void RoundKernel::SetupRounds(const char* name, uint32_t domains,
-                              uint32_t max_lanes, bool lanes_tunable) {
+void RoundKernel::SetupRounds(const char* name, uint32_t domains, uint32_t lanes) {
   name_ = name;
   domains_ = std::max(1u, domains);
-  max_lanes_ = std::max(1u, max_lanes);
-  lanes_ = max_lanes_;
-  lanes_tunable_ = lanes_tunable;
+  lanes_ = std::max(1u, lanes);
   executor_events_.assign(executors(), 0);
   active_pool_ = external_pool_ != nullptr ? external_pool_ : &pool_;
   barrier_ = std::make_unique<CombiningBarrier>(executors(),
@@ -19,24 +16,10 @@ void RoundKernel::SetupRounds(const char* name, uint32_t domains,
 }
 
 RunResult RoundKernel::Run(Time stop_time) {
-  // Sample the live tunables once per window, before any worker releases:
-  // live lanes (≤ the Setup ceiling, so Finalize-sized per-executor state
-  // still fits) and the speculation horizon. A window is the only safe
-  // boundary — the barrier tree and the owned lists key off lanes_.
-  tuning_ = SampleTuning(max_lanes_, lanes_tunable_);
-  const bool resized = tuning_.parties != lanes_;
-  if (resized) {
-    lanes_ = tuning_.parties;
-    barrier_ = std::make_unique<CombiningBarrier>(executors(),
-                                                  active_pool_->usable_cores());
-  }
-  // Re-Ensure every window (no-op when unchanged): a borrowed pool may have
-  // been resized by its owner, and tuning resizes ours.
+  // Re-Ensure every window (no-op when unchanged): a pool shared with a
+  // fork may have been resized by the other kernel's Setup or Run.
   active_pool_->Ensure(executors());
   ApplyPendingMigrations();
-  if (resized) {
-    OnOwnershipChanged();  // Owned lists fold onto the live executor count.
-  }
 
   const uint64_t run_t0 = Profiler::NowNs();
   // Speculation (DESIGN.md §3k): capture the window checkpoint while the
@@ -49,7 +32,7 @@ RunResult RoundKernel::Run(Time stop_time) {
   for (;;) {
     sync_.BeginRun(name_, executors(), stop_time);
     if (speculate) {
-      sync_.EnableSpeculation(tuning_.spec_horizon_ps);
+      sync_.EnableSpeculation(spec_horizon_ps_);
     }
     sync_.SetParkBaseline(barrier_->parks());
     executor_events_.assign(executors(), 0);

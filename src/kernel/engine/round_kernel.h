@@ -1,12 +1,11 @@
 // The shared base of the round-synchronized parallel kernels (barrier,
 // Unison and hybrid).
 //
-// Every such kernel runs one window the same way: sample the live tunables,
-// resize the barrier tree and the pool, apply window-boundary ownership
-// moves, capture the speculation checkpoint, release the executor pool into
-// the kernel's round body, retry the window conservatively on a causality
-// miss, then sum the per-executor event counters and close the window
-// (FinishRun). RoundKernel::Run is that driver, written once; a derived
+// Every such kernel runs one window the same way: apply window-boundary
+// ownership moves, capture the speculation checkpoint, release the executor
+// pool into the kernel's round body, retry the window conservatively on a
+// causality miss, then sum the per-executor event counters and close the
+// window (FinishRun). RoundKernel::Run is that driver, written once; a derived
 // kernel supplies only its Setup (which partition-map domain it installs)
 // and RoundLoop, the per-executor round body the pool runs — one virtual
 // call per executor per Run(), none inside the round loop.
@@ -41,10 +40,7 @@ class RoundKernel : public Kernel {
 
   RunResult Run(Time stop_time) final;
 
-  // The ceiling, not the live count: tuning may shrink lanes between
-  // windows, but per-executor state sized at Finalize must cover every
-  // window. Valid after Setup.
-  uint32_t MaxExecutors() const override { return domains_ * max_lanes_; }
+  uint32_t MaxExecutors() const override { return executors(); }
 
   ExecutorPool* executor_pool() override { return active_pool_; }
 
@@ -56,11 +52,9 @@ class RoundKernel : public Kernel {
  protected:
   // Setup tail shared by every round kernel, called once the kernel has
   // installed its partition-map domain. The executors are `domains` groups
-  // of `max_lanes` lanes each, ids domain-major (executor = domain * lanes +
-  // lane); only the lane count is a live tunable, and only when
-  // `lanes_tunable`. `name` stamps the RunSummary and trace.
-  void SetupRounds(const char* name, uint32_t domains, uint32_t max_lanes,
-                   bool lanes_tunable);
+  // of `lanes` lanes each, ids domain-major (executor = domain * lanes +
+  // lane). `name` stamps the RunSummary and trace.
+  void SetupRounds(const char* name, uint32_t domains, uint32_t lanes);
 
   // One executor's round loop for a whole window attempt.
   virtual void RoundLoop(uint32_t executor) = 0;
@@ -94,7 +88,7 @@ class RoundKernel : public Kernel {
   uint32_t executors() const { return domains_ * lanes_; }
 
   uint32_t domains_ = 1;
-  uint32_t lanes_ = 1;  // Live lanes per domain.
+  uint32_t lanes_ = 1;  // Lanes per domain.
   RoundSync sync_{this};
   std::unique_ptr<CombiningBarrier> barrier_;
   // Per-executor event counters, published at each round barrier so
@@ -113,8 +107,6 @@ class RoundKernel : public Kernel {
   const char* name_ = "";
   // Executor 0's arrival time at the current reduction (tracing only).
   uint64_t reduce_t0_ = 0;
-  uint32_t max_lanes_ = 1;
-  bool lanes_tunable_ = true;
   ExecutorPool pool_;  // Threads spawned once at Setup, reused across runs.
   // The pool Run() actually uses: the borrowed external pool when one was
   // lent (Session::Fork), else pool_. Set at Setup.

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <utility>
 
 namespace unison {
@@ -34,6 +35,14 @@ std::string KernelConfig::Validate() const {
     return "KernelConfig.ranks must be >= 1 for the hybrid kernel (each "
            "rank models one simulated host)";
   }
+  // 64-bit product: a 32-bit ranks * threads could wrap below the cap.
+  const uint64_t executors =
+      type == KernelType::kHybrid ? uint64_t{ranks} * threads : threads;
+  if (executors > kMaxExecutors) {
+    return "KernelConfig.threads (times ranks for the hybrid kernel) asks for " +
+           std::to_string(executors) + " executors, more than the " +
+           std::to_string(kMaxExecutors) + " one process may start";
+  }
   if (sched_period > kMaxSchedPeriod) {
     return "KernelConfig.sched_period is implausibly large (> 2^20 rounds "
            "between re-sorts); it counts rounds, not time — use 0 for the "
@@ -63,9 +72,13 @@ void Kernel::Setup(const TopoGraph& graph, const Partition& partition) {
   // install theirs right after this base Setup returns.
   pmap_.ResetBlocked(partition_.num_lps, 1);
   ownership_movable_ = false;
-  applied_rebalance_seq_ = 0;
   window_migrations_ = 0;
   lp_window_cost_ns_.assign(partition_.num_lps, 0);
+  sched_period_ = config_.sched_period;
+  if (sched_period_ == 0) {
+    const uint32_t n = std::max(2u, num_lps());
+    sched_period_ = static_cast<uint32_t>(std::bit_width(n - 1));  // ceil(log2 n)
+  }
   if (trace_ != nullptr) {
     trace_->BeginSession();
   }
@@ -78,13 +91,6 @@ void Kernel::BeginWindow() {
 }
 
 void Kernel::ApplyPendingMigrations() {
-  if (tunables_ != nullptr) {
-    const Tunables& live = tunables_->Get();
-    if (live.rebalance_seq > applied_rebalance_seq_) {
-      pmap_.Stage(live.moves);
-      applied_rebalance_seq_ = live.rebalance_seq;
-    }
-  }
   window_migrations_ = 0;
   if (pmap_.has_staged()) {
     window_migrations_ = pmap_.ApplyStaged();
@@ -189,37 +195,12 @@ uint64_t Kernel::RunGlobalEvents(Time upto, Time stop) {
   return public_lp_->ProcessUntil(bound);
 }
 
-Kernel::WindowTuning Kernel::SampleTuning(uint32_t default_parties,
-                                          bool parties_tunable) const {
-  WindowTuning t;
-  uint32_t parties = default_parties;
-  if (tunables_ != nullptr) {
-    const Tunables& live = tunables_->Get();
-    t.epoch = tunables_->epoch();
-    if (parties_tunable && live.parties > 0) {
-      // The config default is also the ceiling: FlowMonitor shards and other
-      // per-executor state were sized from it at Finalize.
-      parties = std::min(live.parties, default_parties);
-    }
-    // No config fallback: speculation is live-plane-only (Network::Finalize
-    // seeds the horizon under speculation=auto; the controller revises it).
-    t.spec_horizon_ps = live.spec_horizon_ps;
-  }
-  t.sched_period = config_.sched_period;
-  if (t.sched_period == 0) {
-    const uint32_t n = std::max(2u, num_lps());
-    t.sched_period = static_cast<uint32_t>(std::bit_width(n - 1));  // ceil(log2 n)
-  }
-  t.parties = std::max(1u, parties);
-  return t;
-}
-
 bool Kernel::BeginSpeculativeWindow() {
   spec_rounds_win_ = 0;
   spec_hits_win_ = 0;
   spec_misses_win_ = 0;
   rollback_ns_win_ = 0;
-  if (tuning_.spec_horizon_ps <= 0 || !spec_ckpt_.installed()) {
+  if (spec_horizon_ps_ <= 0 || !spec_ckpt_.installed()) {
     return false;
   }
   // Speculation re-executes a stretch after a rollback; without deterministic
@@ -270,9 +251,7 @@ RunResult Kernel::FinishRun(const char* kernel_name, uint32_t executors,
   run_summary_.window_stop_ps = stop.ps();
   run_summary_.reason = RunReasonName(reason);
   run_summary_.forked_from = lineage_;
-  run_summary_.tuning_epoch = tuning_.epoch;
-  run_summary_.sched_period = tuning_.sched_period;
-  run_summary_.parties = tuning_.parties;
+  run_summary_.sched_period = sched_period_;
   run_summary_.migrations = window_migrations_;
   run_summary_.ownership_epoch = pmap_.epoch();
   run_summary_.spec_rounds = spec_rounds_win_;

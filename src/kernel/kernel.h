@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "src/control/tunables.h"
 #include "src/core/event.h"
 #include "src/core/time.h"
 #include "src/kernel/engine/spec_checkpoint.h"
@@ -85,6 +84,11 @@ struct KernelConfig {
   // representable topology, so a period beyond this is a unit error (e.g.
   // nanoseconds pasted into a round count), not a tuning choice.
   static constexpr uint32_t kMaxSchedPeriod = 1u << 20;
+
+  // Largest accepted executor count: `threads`, or `ranks * threads` for the
+  // hybrid kernel. Each executor is one OS thread, so a count past this is a
+  // corrupt snapshot or a mistyped config, not a machine size.
+  static constexpr uint32_t kMaxExecutors = 1024;
 
   // Returns an empty string when the config is usable, otherwise a
   // human-readable description of the first problem found. MakeKernel calls
@@ -243,33 +247,17 @@ class Kernel {
   // worker counters are quiescent during the global-event phase).
   virtual uint64_t LiveEvents() const { return processed_events_; }
 
-  // --- Live tuning (two-tier config split) ---
-
-  // Attaches the session's tunable store. The kernel samples it once per
-  // Run() window, before any worker is released; absent a store, every
-  // window runs on the KernelConfig values — the two paths are equivalent
-  // when the store only ever holds its config-derived seed.
-  void set_tunables(const TunableStore* store) { tunables_ = store; }
-
-  // The tunable values one Run() window actually executed with, resolved
-  // from store + config defaults. Refreshed at the start of each window;
-  // FinishRun stamps it into the RunSummary.
-  struct WindowTuning {
-    uint64_t epoch = 0;
-    uint32_t sched_period = 0;
-    uint32_t parties = 0;  // Kernel-native knob units (see Tunables).
-    int64_t spec_horizon_ps = 0;  // 0 = speculation off this window.
-  };
-  const WindowTuning& window_tuning() const { return tuning_; }
-
   // --- Speculative window execution (DESIGN.md §3k) ---
 
   // Installs the session-level capture/restore hooks the window checkpoint
-  // serializes through. Done by Network::Finalize under speculation=auto;
-  // kernels without hooks never speculate.
-  void set_checkpoint_hooks(SpecCheckpoint::CaptureFn capture,
-                            SpecCheckpoint::RestoreFn restore) {
+  // serializes through, and the session's fixed speculation horizon: how far
+  // past the Eq. 2 LBTS bound a round may extend, in picoseconds. Done by
+  // Network::Finalize under speculation=auto; kernels without hooks, or
+  // with a non-positive horizon, never speculate.
+  void set_speculation(SpecCheckpoint::CaptureFn capture,
+                       SpecCheckpoint::RestoreFn restore, int64_t horizon_ps) {
     spec_ckpt_.InstallHooks(std::move(capture), std::move(restore));
+    spec_horizon_ps_ = horizon_ps;
   }
 
   // Pool/counter introspection for tests and benches: how many checkpoints
@@ -285,9 +273,9 @@ class Kernel {
   const PartitionMap& partition_map() const { return pmap_; }
 
   // Queues ownership moves to be applied at the next window boundary, before
-  // any worker is released into the window (test/tooling hook; the
-  // controller's move sets travel through the TunableStore instead).
-  // Executor targets are folded modulo the kernel's domain on apply.
+  // any worker is released into the window. Network::Run stages the
+  // controller's move sets here; tests and tools stage their own. Executor
+  // targets are folded modulo the kernel's domain on apply.
   void StageMigrations(const std::vector<LpMove>& moves) { pmap_.Stage(moves); }
 
   // Ownership state handed to the controller at each window boundary: the
@@ -346,10 +334,8 @@ class Kernel {
   // kernels; the sequential kernel calls it directly.
   void BeginWindow();
 
-  // Window-boundary migration point, called once per Run() after the window's
-  // tunables are sampled and before any worker is released: merges the
-  // controller's move set (when the sampled rebalance_seq advances past the
-  // last generation applied), applies everything staged, and — if ownership
+  // Window-boundary migration point, called once per Run() before any
+  // worker is released: applies everything staged and — if ownership
   // actually changed — invokes OnOwnershipChanged() so the kernel can rebuild
   // its executor-local structures. Records the window's migration count for
   // FinishRun.
@@ -357,8 +343,7 @@ class Kernel {
 
   // Hook for kernels that mirror the partition map into their own structures
   // (Unison's claim domains and owned lists). Called with the pool quiescent,
-  // after the map has changed (migration apply or snapshot restore) — and by
-  // RoundKernel after a lane resize, which re-folds the owned lists. Default:
+  // after the map has changed (migration apply or snapshot restore). Default:
   // nothing — kernels that read pmap_.owned() directly need no mirror.
   virtual void OnOwnershipChanged() {}
 
@@ -380,10 +365,10 @@ class Kernel {
   Time resume_floor() const { return resume_floor_; }
 
   // Start-of-window speculation gate, called once per Run() by the opt-in
-  // round kernels after tunables are sampled, migrations are applied, and the
-  // session is quiescent. Resets the window's speculation stats, then decides
-  // eligibility (hooks installed, deterministic mode, finite positive
-  // lookahead, sampled spec_horizon_ps > 0) and captures the checkpoint.
+  // round kernels after migrations are applied, with the session quiescent.
+  // Resets the window's speculation stats, then decides eligibility (hooks
+  // installed, positive horizon, deterministic mode, finite positive
+  // lookahead) and captures the checkpoint.
   // Returns true when this window may run speculative rounds.
   bool BeginSpeculativeWindow();
 
@@ -392,15 +377,6 @@ class Kernel {
   // rollback_ns); on a hit, the rounds commit. FinishRun stamps the window's
   // totals into the RunSummary.
   void NoteSpecAttempt(uint32_t spec_rounds, bool miss);
-
-  // Resolves this window's tunables: live store values where published,
-  // config defaults otherwise. The re-sort period is the config's, else
-  // ceil(log2 n) (§4.3). `default_parties` is the config-derived knob value and also the
-  // ceiling — per-executor state sized at Finalize is never exceeded;
-  // kernels whose party count is structural pass parties_tunable=false.
-  // Every kernel calls this at the start of Run(), before workers release.
-  WindowTuning SampleTuning(uint32_t default_parties,
-                            bool parties_tunable = true) const;
 
   friend class Simulator;
   friend class RoundSync;
@@ -426,13 +402,12 @@ class Kernel {
   std::function<void()> window_end_hook_;
   ExecutorPool* external_pool_ = nullptr;  // Borrowed; see set_external_pool.
   std::string lineage_;                    // Empty unless forked.
-  const TunableStore* tunables_ = nullptr;  // Borrowed; see set_tunables.
-  WindowTuning tuning_;  // What the current/last window ran with.
+  // Rounds between scheduler re-sorts: KernelConfig::sched_period, else
+  // ceil(log2 #LP) (§4.3). Resolved at Setup; stamped into every RunSummary.
+  uint32_t sched_period_ = 1;
   // Live lp → executor assignment; each kernel installs its domain in Setup.
   PartitionMap pmap_;
   bool ownership_movable_ = false;
-  // Last controller move-set generation applied (Tunables::rebalance_seq).
-  uint64_t applied_rebalance_seq_ = 0;
   // LPs that changed owner at this window's boundary (for the summary).
   uint32_t window_migrations_ = 0;
   // Per-LP processing cost of the current window, reset by BeginWindow; the
@@ -442,6 +417,7 @@ class Kernel {
   // speculation stats (reset by BeginSpeculativeWindow, stamped by
   // FinishRun). Kernels without checkpoint hooks leave them all zero.
   SpecCheckpoint spec_ckpt_;
+  int64_t spec_horizon_ps_ = 0;  // See set_speculation.
   uint32_t spec_rounds_win_ = 0;
   uint32_t spec_hits_win_ = 0;
   uint32_t spec_misses_win_ = 0;

@@ -111,8 +111,7 @@ RunResult NullMessageKernel::Run(Time stop_time) {
     }
   }
   // The party count is structural (one LP loop per LP); re-Ensure covers a
-  // borrowed pool resized by its owner's tuning.
-  tuning_ = SampleTuning(num_lps(), /*parties_tunable=*/false);
+  // pool shared with a fork and resized by the other kernel.
   ApplyPendingMigrations();
   active_pool_->Ensure(num_lps());
   // No shared synchronization rounds in this algorithm: BeginRun covers the

@@ -9,11 +9,9 @@ RunResult SequentialKernel::Run(Time stop_time) {
   // larger partition would still execute correctly but pay mailbox overhead
   // for nothing.
   Lp* const lp = lps_[0].get();
-  // Nothing here is tunable (no rounds, no pool), but sampling stamps the
-  // window's tuning epoch into the summary like every other kernel; the
-  // migration apply is a no-op in the single-executor domain yet keeps the
-  // provenance fields (migrations, ownership epoch) uniform across kernels.
-  tuning_ = SampleTuning(1, /*parties_tunable=*/false);
+  // The migration apply is a no-op in the single-executor domain, yet it
+  // keeps the provenance fields (migrations, ownership epoch) uniform across
+  // kernels.
   ApplyPendingMigrations();
   BeginWindow();
   const bool profiling = profiler_ != nullptr && profiler_->enabled;

@@ -28,17 +28,13 @@ void UnisonKernel::Setup(const TopoGraph& graph, const Partition& partition) {
     }
     pmap_.Reset(std::move(assignment), ranks);
   } else {
-    // Ownership domain = the config thread ceiling (MaxExecutors), not the
-    // live worker count: a move set computed in ceiling units stays
-    // meaningful — owner slots map onto the live lanes in the owned lists.
     pmap_.ResetBlocked(num_lps(), std::max(1u, config_.threads));
   }
   ownership_movable_ = true;
   last_round_ns_.assign(num_lps(), 0);
-  SetupRounds(hybrid ? "hybrid" : "unison", ranks, config_.threads,
-              /*lanes_tunable=*/true);
+  SetupRounds(hybrid ? "hybrid" : "unison", ranks, config_.threads);
   // Every cursor is 0 between rounds: each owner resets its own after phase
-  // 1, so a lane resize or a new window finds them ready.
+  // 1, so a new window finds them ready.
   claim_ = std::make_unique<ClaimCursor[]>(MaxExecutors());
   OnOwnershipChanged();
 }
@@ -48,21 +44,16 @@ void UnisonKernel::OnOwnershipChanged() {
   // only affects wall time, so resetting it costs nothing observable. Both
   // layouts keep runs of neighbouring LP ids on one lane, so most cut-edge
   // mail is pushed and drained on the same core.
-  const bool ranked = config_.type == KernelType::kHybrid;
+  if (config_.type != KernelType::kHybrid) {
+    owned_lists_ = pmap_.owned();  // One owner slot per worker.
+    return;
+  }
+  // Each rank's LPs (ascending) split into lanes_ contiguous runs.
   owned_lists_.assign(executors(), {});
-  if (ranked) {
-    // Each rank's LPs (ascending) split into lanes_ contiguous runs.
-    for (uint32_t d = 0; d < domains_; ++d) {
-      const std::vector<uint32_t>& lps = pmap_.owned(d);
-      for (size_t i = 0; i < lps.size(); ++i) {
-        owned_lists_[d * lanes_ + i * lanes_ / lps.size()].push_back(lps[i]);
-      }
-    }
-  } else {
-    // Owner slots map onto the live lanes in contiguous runs too.
-    const uint32_t slots = pmap_.num_executors();
-    for (uint32_t lp = 0; lp < num_lps(); ++lp) {
-      owned_lists_[static_cast<uint64_t>(pmap_.owner(lp)) * lanes_ / slots].push_back(lp);
+  for (uint32_t d = 0; d < domains_; ++d) {
+    const std::vector<uint32_t>& lps = pmap_.owned(d);
+    for (size_t i = 0; i < lps.size(); ++i) {
+      owned_lists_[d * lanes_ + i * lanes_ / lps.size()].push_back(lps[i]);
     }
   }
 }
@@ -74,7 +65,7 @@ void UnisonKernel::OpenRound() {
   // a function of the costs alone, not of the previous (timing-dependent)
   // order.
   const bool resort = config_.metric != SchedulingMetric::kNone &&
-                      sync_.round_index() % tuning_.sched_period == 0;
+                      sync_.round_index() % sched_period_ == 0;
   if (resort) {
     if (config_.metric == SchedulingMetric::kByPendingEventCount) {
       EstimateByPendingEvents(lps_, sync_.window(), &cost_buf_);

@@ -17,9 +17,9 @@
 //
 // Ownership is contiguous. The partition numbers LPs by their lowest node
 // and the topology builders emit nodes in locality order, so each worker
-// owns one run of neighbouring LP ids: unison maps owner slots onto the live
-// lanes in runs (slot * lanes / slots), and hybrid splits each rank's LPs
-// into one run per lane. A 16x16 torus at 2 lanes then has 32 of its 512 cut
+// owns one run of neighbouring LP ids: unison gives each worker one owner
+// slot of contiguous LPs, and hybrid splits each rank's LPs into one run per
+// lane. A 16x16 torus at 2 lanes then has 32 of its 512 cut
 // links between different workers, not the 256 a stride would give; the
 // mail on the rest is pushed and drained on one core.
 //
@@ -102,8 +102,8 @@ class UnisonKernel : public RoundKernel {
   // Per-worker LP lists, executor-indexed (domain-major): worker w's home
   // LPs, which it alone drains and folds, and which phase 1 runs first. The
   // round opening re-sorts each list by (cost desc, id asc) every
-  // sched_period rounds. Unison maps owner slots onto the live lanes in
-  // contiguous runs; hybrid splits each rank's LPs into one run per lane.
+  // sched_period rounds. Unison's are the partition map's owned lists;
+  // hybrid splits each rank's LPs into one run per lane.
   std::vector<std::vector<uint32_t>> owned_lists_;
   // claim_[w] walks owned_lists_[w]: its owner and the lanes that steal from
   // it fetch_add it; the owner resets it after phase 1.

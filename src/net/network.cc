@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "src/kernel/engine/executor_pool.h"
 #include "src/net/model_events.h"
 #include "src/net/session.h"
 #include "src/partition/fine_grained.h"
@@ -156,28 +157,21 @@ void Network::Finalize() {
       break;
   }
 
-  kernel_ = MakeKernel(config_.kernel);
+  KernelConfig kernel_config = config_.kernel;
+  if (config_.tuning == TuningMode::kAuto) {
+    // Fit the worker count to the machine actually present, once: workers
+    // beyond the usable CPUs only wait on descheduled peers at every barrier.
+    // Hybrid lanes are per rank, so the ranks share the CPUs.
+    const uint32_t cpus = CountUsableCpus();
+    const uint32_t fit = kernel_config.type == KernelType::kHybrid
+                             ? std::max(1u, cpus / std::max(1u, kernel_config.ranks))
+                             : cpus;
+    kernel_config.threads = std::min(kernel_config.threads, fit);
+    controller_ = std::make_unique<Controller>(config_.tuning_config);
+  }
+  kernel_ = MakeKernel(kernel_config);
   kernel_->set_profiler(&profiler_);
   kernel_->set_trace(&run_trace_);
-  // Two-tier config split: the mutable knobs move into the tunable store,
-  // seeded from the KernelConfig. Every kernel samples the store per window,
-  // tuning on or off — a store that only ever holds its seed (epoch 0) is
-  // exactly the static configuration.
-  Tunables seed;
-  seed.parties = config_.kernel.threads;
-  if (config_.speculation == SpeculationMode::kAuto) {
-    // Live the horizon from the start; under tuning=kAuto the controller's
-    // spec-horizon rule revises it between windows. A zero horizon is how
-    // every other session stays on the conservative path — the kernels never
-    // even capture a checkpoint then.
-    seed.spec_horizon_ps = config_.tuning_config.spec_horizon_initial_ps;
-  }
-  tunable_store_.Seed(seed);
-  kernel_->set_tunables(&tunable_store_);
-  if (config_.tuning == TuningMode::kAuto) {
-    controller_ =
-        std::make_unique<Controller>(config_.tuning_config, &tunable_store_);
-  }
   if (pending_external_pool_ != nullptr) {
     kernel_->set_external_pool(pending_external_pool_);
   }
@@ -192,17 +186,19 @@ void Network::Finalize() {
   kernel_->set_window_end_hook([this] { flow_monitor_.MergeWindow(); });
 
   if (config_.speculation == SpeculationMode::kAuto) {
-    // Checkpoint hooks for speculative window execution. The kernel owns
-    // the policy (when to capture, when to roll back); the session layer
-    // owns the representation. Capture may decline (lambda events, DV
-    // routing) — the kernel then runs that window conservatively.
-    kernel_->set_checkpoint_hooks(
+    // Checkpoint hooks and the session's fixed horizon for speculative
+    // window execution. The kernel owns the policy (when to capture, when to
+    // roll back); the session layer owns the representation. Capture may
+    // decline (lambda events, DV routing) — the kernel then runs that window
+    // conservatively.
+    kernel_->set_speculation(
         [this](std::vector<uint8_t>* out) {
           return CaptureWindowCheckpoint(*this, out);
         },
         [this](const std::vector<uint8_t>& buf) {
           RestoreWindowCheckpoint(*this, buf);
-        });
+        },
+        config_.tuning_config.spec_horizon_initial_ps);
   }
 
   if (use_dv_) {
@@ -241,8 +237,9 @@ RunResult Network::Run(Time stop) {
     return r;
   }
   // Closed loop: slice the caller's horizon into windows of window_ps, feed
-  // each completed window's trace segment to the controller, and continue
-  // until the caller's stop is reached (or the run ends for another reason).
+  // each completed window's trace segment to the controller, stage the move
+  // set it returns for the next window, and continue until the caller's stop
+  // is reached (or the run ends for another reason).
   // Window slicing is results-neutral (K windowed runs are bit-identical to
   // one monolithic run), so this loop changes wall time only, and gives the
   // controller observations before the caller's stop time, not only at it.
@@ -259,8 +256,8 @@ RunResult Network::Run(Time stop) {
     total.events += r.events;
     total.rounds += r.rounds;
     if (!run_trace_.segments().empty()) {
-      controller_->OnWindowEnd(run_trace_.segments().back(),
-                               kernel_->ownership_view());
+      kernel_->StageMigrations(controller_->OnWindowEnd(
+          run_trace_.segments().back(), kernel_->ownership_view()));
     }
     MaybeAutoCheckpoint();
     if (r.reason != RunReason::kWindowReached || r.end >= stop) {

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "src/control/controller.h"
-#include "src/control/tunables.h"
 #include "src/core/rng.h"
 #include "src/core/time.h"
 #include "src/kernel/kernel.h"
@@ -60,13 +59,12 @@ struct QueueConfig {
   double red_weight = 0.002;
 };
 
-// Live tuning plane switch. kOff freezes every knob at its KernelConfig
-// value (the historical behaviour); kAuto slices Run() into windows of
-// tuning_config.window_ps and attaches a Controller that revises the live
-// tunables (active parties, LP ownership, speculation horizon) between those
-// windows from the trace segments. Results are bit-identical either way —
-// the controller only ever acts at window boundaries, and every knob it
-// touches is results-neutral.
+// Tuning switch. kOff runs the KernelConfig as given. kAuto fits the worker
+// count to the usable CPUs once, at Finalize, slices Run() into windows of
+// tuning_config.window_ps, and attaches a Controller whose rebalance rule
+// moves LPs between executors at those window boundaries. Results are
+// bit-identical either way: the worker count, window slicing and LP
+// placement are all results-neutral.
 enum class TuningMode : uint8_t {
   kOff = 0,
   kAuto = 1,
@@ -74,9 +72,10 @@ enum class TuningMode : uint8_t {
 
 // Speculative window execution (DESIGN.md §3k). kOff runs every window at the
 // conservative Eq. 2 bound. kAuto captures a cheap in-memory checkpoint at
-// each window boundary and lets rounds extend up to the live spec-horizon
-// tunable past the bound; a causality miss rolls the session back and re-runs
-// the window conservatively. Results are bit-identical either way — that is
+// each window boundary and lets rounds extend up to the session's fixed
+// horizon (tuning_config.spec_horizon_initial_ps) past the bound; a
+// causality miss rolls the session back and re-runs the window
+// conservatively. Results are bit-identical either way — that is
 // the feature's contract, enforced by the transparency matrix in
 // tests/session_test.cc. Opt-in kernels: barrier, unison, hybrid (the
 // sequential kernel has nothing to speculate past; null-message's channel
@@ -103,9 +102,9 @@ struct SimConfig {
   // when the user asked for a trace themselves.
   TuningMode tuning = TuningMode::kOff;
   ControllerConfig tuning_config;
-  // Speculative window execution; kAuto seeds the live spec-horizon tunable
-  // from tuning_config.spec_horizon_initial_ps and installs the checkpoint
-  // hooks at Finalize. Requires kernel.deterministic (the default).
+  // Speculative window execution; kAuto installs the checkpoint hooks and
+  // the fixed horizon tuning_config.spec_horizon_initial_ps at Finalize.
+  // Requires kernel.deterministic (the default).
   SpeculationMode speculation = SpeculationMode::kOff;
   // Automatic resume checkpoints: every `kernel.auto_checkpoint_every`
   // completed windows, Run() saves a full USNP snapshot to this path
@@ -216,11 +215,6 @@ class Network {
 
   Simulator& sim() { return sim_; }
   Kernel& kernel() { return *kernel_; }
-  // The session's live-tunable store. Always present (seeded from the
-  // KernelConfig at Finalize); written by the controller under kAuto, by
-  // Session restore, or by tests driving tuning by hand between windows.
-  TunableStore& tunable_store() { return tunable_store_; }
-  const TunableStore& tunable_store() const { return tunable_store_; }
   // The attached controller, or nullptr when tuning is kOff.
   Controller* controller() { return controller_.get(); }
   FlowMonitor& flow_monitor() { return flow_monitor_; }
@@ -303,7 +297,6 @@ class Network {
   bool has_manual_partition_ = false;
 
   std::unique_ptr<Kernel> kernel_;
-  TunableStore tunable_store_;
   std::unique_ptr<Controller> controller_;  // Present only under kAuto.
   Simulator sim_;
   FlowMonitor flow_monitor_;

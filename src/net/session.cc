@@ -20,18 +20,21 @@
 namespace unison {
 namespace {
 
-// USNP v6: little-endian, field-by-field, no alignment padding. The version
+// USNP v7: little-endian, field-by-field, no alignment padding. The version
 // gates the whole buffer — any layout change bumps it; there is no partial
 // compatibility. v2 added the live-tuning plane, v3 the realized
 // LP-ownership map, v4 the speculation plane. v5 splits the buffer into a
-// static section (SimConfig, topology, partition, injection epoch, tunables,
+// static section (SimConfig, topology, partition, injection epoch,
 // ownership, session accumulators, flow-source specs) and a dynamic section
 // that is byte for byte the speculation window checkpoint, so one writer and
 // one in-place apply serve fork, resume and rollback. v6 drops the placement
 // policy, the re-sort period and window horizon tunables and their
 // controller settings, and encodes every remaining ControllerConfig field.
+// v7 drops the tunable block (the parties and horizon rules are gone) and
+// adds the staged LP moves to the ownership block, so a fork taken between a
+// rebalance decision and the next window migrates like its parent.
 constexpr uint8_t kMagic[4] = {'U', 'S', 'N', 'P'};
-constexpr uint32_t kVersion = 6;
+constexpr uint32_t kVersion = 7;
 
 constexpr const char* kLambdaEvent =
     "a pending event is not a named model event (see "
@@ -60,6 +63,8 @@ class Writer {
   }
 
   void U8(auto v) { Put(static_cast<uint8_t>(v)); }
+  template <typename E>
+  void Enum(auto v, E /*last*/) { U8(v); }
   void Bool(bool v) { U8(v ? 1 : 0); }
   void U16(auto v) { Put(static_cast<uint16_t>(v)); }
   void U32(auto v) { Put(static_cast<uint32_t>(v)); }
@@ -101,6 +106,17 @@ class Reader {
   template <typename T>
   void U8(T& v) { v = static_cast<T>(Get<uint8_t>()); }
   void Bool(bool& v) { v = Get<uint8_t>() != 0; }
+  // A one-byte enumerator: anything past `last` is a corrupt buffer, never a
+  // value that no switch over the enum handles.
+  template <typename T, typename E>
+  void Enum(T& v, E last) {
+    const uint8_t b = Get<uint8_t>();
+    if (b > static_cast<uint8_t>(last)) {
+      SnapshotFatal("decoded enumerator " + std::to_string(b) +
+                    " out of range (corrupt file or version skew)");
+    }
+    v = static_cast<T>(b);
+  }
   template <typename T>
   void U16(T& v) { v = static_cast<T>(Get<uint16_t>()); }
   template <typename T>
@@ -228,7 +244,7 @@ void IoSeq(A& a, V& v, size_t min_bytes) {
 }
 
 void Io(auto& a, Is<QueueConfig> auto&& q) {
-  a.U8(q.kind);
+  a.Enum(q.kind, QueueConfig::Kind::kDctcp);
   a.U32(q.capacity_bytes);
   a.F64(q.red_min_th);
   a.F64(q.red_max_th);
@@ -248,46 +264,35 @@ void Io(auto& a, Is<TcpConfig> auto&& t) {
 
 void Io(auto& a, Is<ControllerConfig> auto&& c) {
   a.I64(c.window_ps);
-  a.F64(c.parks_per_round_high);
-  a.U32(c.min_parties);
-  a.U32(c.cpu_limit);
   a.U32(c.min_rounds);
-  a.U32(c.rule_patience);
   a.F64(c.rebalance_imbalance_high);
   a.U32(c.rebalance_patience);
   a.U32(c.rebalance_cooldown);
   a.F64(c.cost_ewma_alpha);
   a.I64(c.spec_horizon_initial_ps);
-  a.I64(c.spec_horizon_min_ps);
-  a.I64(c.spec_horizon_max_ps);
 }
 
 void Io(auto& a, Is<SimConfig> auto&& c) {
-  a.U8(c.kernel.type);
+  a.Enum(c.kernel.type, KernelType::kHybrid);
   a.U32(c.kernel.threads);
-  a.U8(c.kernel.metric);
+  a.Enum(c.kernel.metric, SchedulingMetric::kByLastRoundTime);
   a.U32(c.kernel.sched_period);
   a.Bool(c.kernel.deterministic);
   a.U32(c.kernel.ranks);
-  a.U8(c.partition);
+  a.Enum(c.partition, PartitionMode::kSingle);
   a.U64(c.seed);
   a.Bool(c.profile);
   a.Bool(c.profile_per_round);
   a.Bool(c.profile_per_lp);
   a.Bool(c.trace);
   a.Bool(c.trace_claim_order);
-  a.U8(c.tuning);
+  a.Enum(c.tuning, TuningMode::kAuto);
   Io(a, c.tuning_config);
-  a.U8(c.speculation);
+  a.Enum(c.speculation, SpeculationMode::kAuto);
   a.U32(c.kernel.auto_checkpoint_every);
   a.Str(c.auto_checkpoint_path);
   Io(a, c.tcp);
   Io(a, c.queue);
-}
-
-void Io(auto& a, Is<Tunables> auto&& t) {
-  a.U32(t.parties);
-  a.I64(t.spec_horizon_ps);
 }
 
 void Io(auto& a, Is<Kernel::SessionState> auto&& s) {
@@ -299,7 +304,7 @@ void Io(auto& a, Is<Kernel::SessionState> auto&& s) {
 }
 
 void Io(auto& a, Is<Packet> auto&& p) {
-  a.U8(p.kind);
+  a.Enum(p.kind, PacketKind::kControl);
   if (p.kind == PacketKind::kControl) {
     a.U32(p.flow_id);  // Routing traffic: no flow record behind it.
   } else {
@@ -396,7 +401,7 @@ void Io(A& a, Is<FlowMonitor::Image> auto&& m) {
 
 void Io(auto& a, Is<TcpSender::Image> auto&& im) {
   a.U32(im.path_tag);
-  a.U8(im.state);
+  a.Enum(im.state, uint8_t{2});  // The last TcpSender::State.
   a.U64(im.snd_una);
   a.U64(im.snd_nxt);
   a.U64(im.high_tx);
@@ -492,17 +497,14 @@ struct StaticSection {
   uint32_t num_lps = 0;
   std::vector<LpId> lp_of_node;
   uint64_t injection_epoch = 0;
-  // Live-tuning state: the epoch is explicit so a fork resumes with the
-  // parent's *learned* settings, not the knob values frozen at capture time.
-  uint64_t tuning_epoch = 0;
-  Tunables tunables;
-  // The realized LP-ownership map in the capturing kernel's executor domain;
-  // Restore folds the owners modulo the restored kernel's own domain. The
-  // controller's pending move set is deliberately not serialized: the
-  // realized map already reflects every applied move.
+  // The realized LP-ownership map in the capturing kernel's executor domain,
+  // and the moves staged for the next window (a rebalance decision, or a
+  // StageMigrations call); Restore folds both modulo the restored kernel's
+  // own domain.
   uint64_t ownership_epoch = 0;
   uint32_t executors = 0;
   std::vector<uint32_t> owners;
+  std::vector<LpMove> staged;
   Kernel::SessionState session;
   // Registration order == serialization order, so registry indices inside
   // captured FlowArrivalEvents stay valid.
@@ -533,13 +535,18 @@ void Io(A& a, Is<StaticSection> auto&& s) {
     a.Id(lp, s.num_lps);
   }
   a.U64(s.injection_epoch);
-  a.U64(s.tuning_epoch);
-  Io(a, s.tunables);
   a.U64(s.ownership_epoch);
   a.U32(s.executors);
   IoLength(a, s.owners, 4);
   for (auto& owner : s.owners) {
     a.Id(owner, s.executors);
+  }
+  // Unchecked like a live stage: the apply ignores an LP past the range and
+  // folds the target.
+  IoLength(a, s.staged, 8);
+  for (LpMove& move : s.staged) {
+    a.U32(move.lp);
+    a.U32(move.to);
   }
   Io(a, s.session);
   IoSeq(a, s.sources, 72);
@@ -868,6 +875,10 @@ void ApplyDynamic(Network& net, Reader& r) {
       Io(r, tcp);
       TcpSender::Image im;
       Io(r, im);
+      if (node.senders().contains(flow_id)) {
+        SnapshotFatal("decoded TCP sender flow id repeats on its node (corrupt "
+                      "buffer)");
+      }
       node.AddSender(flow_id, std::make_unique<TcpSender>(&net, &node, flow_id,
                                                           dst, bytes, tcp))
           ->Restore(im);
@@ -878,6 +889,10 @@ void ApplyDynamic(Network& net, Reader& r) {
       const NodeId src = r.Node();
       TcpReceiver::Image im;
       Io(r, im);
+      if (node.receivers().contains(flow_id)) {
+        SnapshotFatal("decoded TCP receiver flow id repeats on its node "
+                      "(corrupt buffer)");
+      }
       node.AddReceiver(flow_id, std::make_unique<TcpReceiver>(&net, &node,
                                                               flow_id, src))
           ->Restore(im);
@@ -886,6 +901,9 @@ void ApplyDynamic(Network& net, Reader& r) {
 
   FlowMonitor::Image monitor;
   Io(r, monitor);
+  if (monitor.shards != net.flow_monitor().num_shards()) {
+    SnapshotFatal("snapshot flow-monitor shard count diverged from the session");
+  }
   net.flow_monitor().RestoreImageInPlace(monitor);
   r.CheckFlowIds(net.flow_monitor());
 
@@ -932,12 +950,11 @@ const char* WriteSession(Network& net, Writer& w) {
   s.num_lps = net.partition().num_lps;
   s.lp_of_node = net.partition().lp_of_node;
   s.injection_epoch = net.injection_epoch();
-  s.tuning_epoch = net.tunable_store().epoch();
-  s.tunables = net.tunable_store().Get();
   const PartitionMap& pmap = kernel.partition_map();
   s.ownership_epoch = pmap.epoch();
   s.executors = pmap.num_executors();
   s.owners = pmap.owners();
+  s.staged = pmap.staged();
   s.session = kernel.session_state();
   for (uint32_t i = 0; i < net.num_flow_source_sets(); ++i) {
     const TrafficSpec& spec = net.flow_source_set(i)->spec();
@@ -962,6 +979,9 @@ std::unique_ptr<Network> RestoreImpl(const SessionSnapshot& snap,
   }
   StaticSection s;
   Io(r, s);
+  if (const std::string why = s.config.kernel.Validate(); !why.empty()) {
+    SnapshotFatal("decoded " + why);
+  }
 
   // Divergence knob: mutated queue disciplines apply to the rebuilt queues
   // from their first packet. The branch's own config records the mutation.
@@ -999,16 +1019,14 @@ std::unique_ptr<Network> RestoreImpl(const SessionSnapshot& snap,
   }
   kernel.RestoreSessionState(s.session);
   net->set_injection_epoch(s.injection_epoch);
-  // After Finalize seeded the store from the config: reinstall the captured
-  // live values and epoch so the fork's first window runs with the parent's
-  // learned settings (its controller, if any, keeps tuning from there).
-  net->tunable_store().Restore(s.tunables, s.tuning_epoch);
-  // Reinstall the parent's realized LP placement (folded modulo this
-  // kernel's own executor domain). Results-neutral either way in
-  // deterministic mode; this preserves the parent's learned balance.
+  // Reinstall the parent's realized LP placement and its staged moves
+  // (folded modulo this kernel's own executor domain). Results-neutral
+  // either way in deterministic mode; this preserves the parent's learned
+  // balance and makes the fork's next window migrate like the parent's.
   if (s.owners.size() == kernel.num_lps()) {
     kernel.RestoreOwnership(std::move(s.owners), s.ownership_epoch);
   }
+  kernel.StageMigrations(s.staged);
 
   // No Bootstrap: each source's pending arrival already sits in a restored
   // FEL as a FlowArrivalEvent; the dynamic section rebuilds the stream state.

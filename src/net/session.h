@@ -5,8 +5,8 @@
 // different RED/ECN thresholds, extra injected load) used to pay the full
 // [0, t_k) warm-up once per branch. Session::Snapshot captures the complete
 // session state at a window boundary into a versioned in-memory buffer (USNP
-// v5) of two sections. The static section holds what no window can change:
-// config, topology, partition, tunables, ownership, the kernel's session
+// v7) of two sections. The static section holds what no window can change:
+// config, topology, partition, ownership and staged moves, the kernel's session
 // accumulators and the flow-source specs. The dynamic section holds every
 // LP's future event list and tie-break counters, model state (TCP
 // connections, queue occupancies and RED marker state, streaming
@@ -127,8 +127,8 @@ class Session {
 // per-node device, queue, RED and TCP endpoint state, the sharded
 // FlowMonitor, streaming flow-source RNG cursors. It restores *in place* on
 // the same finalized Network, through the same apply a snapshot restore
-// runs. The static section (SimConfig, topology, partition, tunables,
-// ownership, session accumulators, CDF specs) is skipped, which is what
+// runs. The static section (SimConfig, topology, partition, ownership,
+// session accumulators, CDF specs) is skipped, which is what
 // makes capture cheap enough to run at every window boundary.
 
 // Serializes the checkpoint into `out` (cleared, capacity kept — the pooled

@@ -7,8 +7,8 @@
 // hot racks, skewed traffic injected mid-session, fail-link reroutes in
 // forks — was unfixable at runtime. Kernels now resolve lp → executor
 // through this map and rebuild their per-executor LP lists only at window
-// boundaries, which makes ownership a live tunable: the controller's
-// rebalance rule publishes an LPT move set, and the kernel applies it with
+// boundaries, which makes ownership live: the controller's rebalance rule
+// returns an LPT move set, Network::Run stages it, and the kernel applies it with
 // MigrateLp/ApplyStaged before releasing any worker into the next window.
 //
 // Why window boundaries make migration safe: an Lp object (FEL slab,
@@ -22,8 +22,7 @@
 //
 // Concurrency contract: mutations (Stage/ApplyStaged/MigrateLp/Reset/
 // Restore) happen on the session thread at window boundaries only; workers
-// read owners()/owned() freely during a window. Same single-writer,
-// window-boundary-only discipline as the TunableStore.
+// read owners()/owned() freely during a window.
 #ifndef UNISON_SRC_PARTITION_PARTITION_MAP_H_
 #define UNISON_SRC_PARTITION_PARTITION_MAP_H_
 
@@ -56,8 +55,8 @@ struct OwnershipView {
 class PartitionMap {
  public:
   // Installs a fresh assignment without consuming an epoch: a map that was
-  // only ever Reset is epoch 0, "never migrated" — the comparable baseline,
-  // exactly like TunableStore::Seed. Owners are folded modulo
+  // only ever Reset is epoch 0, "never migrated" — the comparable baseline.
+  // Owners are folded modulo
   // `num_executors`; staged moves are discarded.
   void Reset(std::vector<uint32_t> owner_of_lp, uint32_t num_executors);
 
@@ -74,6 +73,7 @@ class PartitionMap {
   // changes until ApplyStaged runs at a window boundary.
   void Stage(const std::vector<LpMove>& moves);
   bool has_staged() const { return !staged_.empty(); }
+  const std::vector<LpMove>& staged() const { return staged_; }
 
   // Applies the staged set: relocates each LP whose folded target differs
   // from its current owner, rebuilds the per-executor owned lists, and bumps

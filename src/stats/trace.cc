@@ -97,12 +97,8 @@ std::string RunSummary::ToJson() const {
   out += reason;  // One of the fixed RunReasonName strings; no escaping needed.
   out += "\",\"forked_from\":\"";
   out += forked_from;  // "snap-<hex>@w<n>" or empty; no escapable characters.
-  out += "\",\"tuning_epoch\":";
-  AppendU64(&out, tuning_epoch);
-  out += ",\"sched_period\":";
+  out += "\",\"sched_period\":";
   AppendU64(&out, sched_period);
-  out += ",\"parties\":";
-  AppendU64(&out, parties);
   out += ",\"migrations\":";
   AppendU64(&out, migrations);
   out += ",\"ownership_epoch\":";
@@ -341,8 +337,6 @@ void AppendCsvRows(std::string* out, uint32_t window, const RunSummary& summary,
     *out += ',';
     AppendU64(out, r.parked);
     *out += ',';
-    AppendU64(out, summary.tuning_epoch);
-    *out += ',';
     AppendU64(out, summary.migrations);
     *out += ',';
     // Window-level speculation stats, repeated on each of the window's rows
@@ -389,7 +383,7 @@ std::string RunTrace::ToCsv() const {
   std::string out;
   out.reserve(64 + records_.size() * 64);
   out += "window,round,lbts_ps,window_ps,events_before,resorted,p_total_ns,"
-         "s_total_ns,m_total_ns,barrier_ns,parked,tuning_epoch,migrations,"
+         "s_total_ns,m_total_ns,barrier_ns,parked,migrations,"
          "spec_rounds,spec_hits,spec_misses,rollback_ns\n";
   if (segments_.empty()) {
     // Export mid-window (EndRun not yet reached): show the live records.

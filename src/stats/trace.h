@@ -50,13 +50,8 @@ struct RunSummary {
   // Snapshot lineage: "snap-<digest>@w<windows>" when this run belongs to a
   // forked branch (Session::Fork), empty for monolithic sessions.
   std::string forked_from;
-  // Live-tuning provenance: the TunableStore epoch this window sampled (0 =
-  // config defaults, never tuned) and the resolved values it ran with —
-  // sched_period after the ceil(log2 n) fallback, parties in the kernel's
-  // knob units.
-  uint64_t tuning_epoch = 0;
+  // Rounds between scheduler re-sorts, after the ceil(log2 n) fallback.
   uint32_t sched_period = 0;
-  uint32_t parties = 0;
   // Movable-ownership provenance: how many LPs changed executor at this
   // window's boundary, and the partition-map epoch the window ran under
   // (0 = the setup-time placement, never migrated).
@@ -160,9 +155,9 @@ class RunTrace {
   std::string ToJson() const;
   // Flat per-round table across every window of the session:
   // window,round,lbts_ps,window_ps,events_before,resorted,
-  // p_total_ns,s_total_ns,m_total_ns,barrier_ns,parked,tuning_epoch,
-  // migrations,spec_rounds,spec_hits,spec_misses,rollback_ns (the last five
-  // are window-level, repeated per row).
+  // p_total_ns,s_total_ns,m_total_ns,barrier_ns,parked,migrations,
+  // spec_rounds,spec_hits,spec_misses,rollback_ns (the last five are
+  // window-level, repeated per row).
   std::string ToCsv() const;
   bool WriteJsonFile(const std::string& path) const;
   bool WriteCsvFile(const std::string& path) const;

@@ -193,7 +193,7 @@ TEST(RunTraceExport, CsvHasHeaderAndOneLinePerRound) {
   EXPECT_EQ(lines, 1 + run.records.size());
   EXPECT_EQ(run.csv.rfind("window,round,lbts_ps,window_ps,events_before,"
                           "resorted,p_total_ns,s_total_ns,m_total_ns,"
-                          "barrier_ns,parked,tuning_epoch,migrations,"
+                          "barrier_ns,parked,migrations,"
                           "spec_rounds,spec_hits,spec_misses,rollback_ns\n",
                           0),
             0u);

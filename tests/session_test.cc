@@ -6,11 +6,16 @@
 // injection, and KernelConfig validation.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <algorithm>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <random>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -497,11 +502,12 @@ TEST(SessionFork, ForkDynamicStateEqualsParent) {
 class ControllerTransparency : public ::testing::TestWithParam<int> {};
 
 // The controller-transparency matrix: every kernel, tuning off vs an
-// aggressive kAuto controller (react after a single round; fit the parties
-// to the machine on every window, parks or not), produces bit-identical
-// fingerprints and digests. The controller only ever changes *how fast* the
-// session runs — party counts, window slicing — all of which are
-// results-neutral by the session invariants this file pins.
+// aggressive kAuto controller (react after a single round; rebalance on
+// every window with re-sorts, whatever the imbalance), produces
+// bit-identical fingerprints and digests. Tuning only ever changes *how
+// fast* the session runs — the worker count fitted at Finalize, window
+// slicing, LP placement — all of which are results-neutral by the session
+// invariants this file pins.
 TEST_P(ControllerTransparency, TunedRunMatchesStaticRun) {
   const KernelCase kc = AllKernels()[GetParam()];
   SCOPED_TRACE(kc.name);
@@ -516,7 +522,9 @@ TEST_P(ControllerTransparency, TunedRunMatchesStaticRun) {
   SimConfig tuned = off;
   tuned.tuning = TuningMode::kAuto;
   tuned.tuning_config.min_rounds = 1;
-  tuned.tuning_config.parks_per_round_high = 0.0;  // Oversubscribed fires.
+  tuned.tuning_config.rebalance_imbalance_high = -1.0;  // Any imbalance.
+  tuned.tuning_config.rebalance_patience = 1;
+  tuned.tuning_config.rebalance_cooldown = 0;
   tuned.tuning_config.window_ps = 500'000'000;  // 0.5 ms slices.
   RunDigest tuned_digest;
   const RunOutcome tuned_out =
@@ -538,52 +546,45 @@ std::string ControllerCaseName(const ::testing::TestParamInfo<int>& info) {
 INSTANTIATE_TEST_SUITE_P(AllKernels, ControllerTransparency,
                          ::testing::Range(0, 5), ControllerCaseName);
 
-// Satellite: a snapshot no longer freezes the knobs. The tunable epoch and
-// values ride in the USNP buffer, a fork resumes with the parent's learned
-// settings, and parent and fork can then tune independently — while both
-// still land bit-identical to the untouched run.
-TEST(SessionFork, TuningStateSurvivesForkAndDivergesIndependently) {
+// A move set staged at a window boundary and not yet applied — a rebalance
+// decision, which Network::Run stages right after the window — is session
+// state: a fork taken at that boundary migrates at its next window exactly
+// like its parent, and both still land on the never-migrated outcome.
+TEST(SessionFork, PendingRebalanceMovesSurviveFork) {
   KernelConfig k;
   k.type = KernelType::kUnison;
-  k.threads = 3;
+  k.threads = 2;
   const RunOutcome mono = RunFatTreeScenarioStreaming(k, PartitionMode::kAuto);
 
   FatTreeScenario parent = BuildFatTreeScenarioStreaming(k, PartitionMode::kAuto);
+  Kernel& pk = parent.net->kernel();
   parent.net->Run(Time::Milliseconds(1));
-
-  // "Learn" something before the snapshot: one published epoch.
-  Tunables learned = parent.net->tunable_store().Get();
-  learned.parties = 2;
-  parent.net->tunable_store().Publish(learned);
+  std::vector<LpMove> moves;
+  for (uint32_t lp = 0; lp < pk.num_lps(); lp += 2) {
+    moves.push_back({lp, pk.partition_map().owner(lp) + 1});
+  }
+  pk.StageMigrations(moves);
 
   Session session(parent.net.get());
-  const SessionSnapshot snap = session.Snapshot();
+  std::unique_ptr<Network> fork = session.Fork(session.Snapshot());
+  Kernel& fk = fork->kernel();
 
-  std::unique_ptr<Network> fork = session.Fork(snap);
-  // The fork resumes with the parent's learned settings, not config defaults.
-  EXPECT_EQ(fork->tunable_store().epoch(), 1u);
-  EXPECT_EQ(fork->tunable_store().Get().parties, 2u);
-
-  // Post-fork the two stores diverge independently.
-  Tunables parent_next = parent.net->tunable_store().Get();
-  parent_next.parties = 3;
-  parent.net->tunable_store().Publish(parent_next);
-  Tunables fork_next = fork->tunable_store().Get();
-  fork_next.parties = 1;
-  fork->tunable_store().Publish(fork_next);
-  EXPECT_EQ(parent.net->tunable_store().Get().parties, 3u);
-  EXPECT_EQ(fork->tunable_store().Get().parties, 1u);
-
-  fork->Run(Time::Milliseconds(5));
-  EXPECT_EQ(fork->kernel().window_tuning().epoch, 2u);
-  EXPECT_EQ(fork->kernel().window_tuning().parties, 1u);
-  EXPECT_EQ(fork->flow_monitor().Fingerprint(), mono.fingerprint);
-  EXPECT_EQ(fork->kernel().session_events(), mono.events);
+  parent.net->Run(Time::Milliseconds(2));
+  fork->Run(Time::Milliseconds(2));
+  EXPECT_EQ(pk.run_summary().migrations, moves.size());
+  EXPECT_EQ(fk.run_summary().migrations, pk.run_summary().migrations);
+  EXPECT_EQ(pk.partition_map().epoch(), 1u);
+  EXPECT_EQ(fk.partition_map().epoch(), pk.partition_map().epoch());
+  EXPECT_EQ(fk.partition_map().owners(), pk.partition_map().owners());
+  EXPECT_EQ(fork->flow_monitor().Fingerprint(),
+            parent.net->flow_monitor().Fingerprint());
 
   parent.net->Run(Time::Milliseconds(5));
-  EXPECT_EQ(parent.net->kernel().window_tuning().parties, 3u);
+  fork->Run(Time::Milliseconds(5));
+  EXPECT_EQ(fork->flow_monitor().Fingerprint(), mono.fingerprint);
+  EXPECT_EQ(fk.session_events(), mono.events);
   EXPECT_EQ(parent.net->flow_monitor().Fingerprint(), mono.fingerprint);
-  EXPECT_EQ(parent.net->kernel().session_events(), mono.events);
+  EXPECT_EQ(pk.session_events(), mono.events);
 }
 
 // Every ControllerConfig field is session identity: a fork (or a restore
@@ -597,18 +598,12 @@ TEST(SessionFork, ForkKeepsEveryControllerSetting) {
   cfg.tuning = TuningMode::kAuto;
   ControllerConfig& c = cfg.tuning_config;
   c.window_ps = 700'000'000;
-  c.parks_per_round_high = 6.5;
-  c.min_parties = 2;
-  c.cpu_limit = 3;
   c.min_rounds = 5;
-  c.rule_patience = 4;
   c.rebalance_imbalance_high = 0.125;
   c.rebalance_patience = 6;
   c.rebalance_cooldown = 7;
   c.cost_ewma_alpha = 0.75;
   c.spec_horizon_initial_ps = 3'000'000;
-  c.spec_horizon_min_ps = 500'000;
-  c.spec_horizon_max_ps = 2'000'000'000;
 
   Network parent(cfg);
   FatTreeTopo topo = BuildFatTree(parent, 4, 10'000'000'000ULL,
@@ -624,18 +619,12 @@ TEST(SessionFork, ForkKeepsEveryControllerSetting) {
   const ControllerConfig& want = parent.controller()->config();
   const ControllerConfig& got = fork->controller()->config();
   EXPECT_EQ(got.window_ps, want.window_ps);
-  EXPECT_EQ(got.parks_per_round_high, want.parks_per_round_high);
-  EXPECT_EQ(got.min_parties, want.min_parties);
-  EXPECT_EQ(got.cpu_limit, want.cpu_limit);
   EXPECT_EQ(got.min_rounds, want.min_rounds);
-  EXPECT_EQ(got.rule_patience, want.rule_patience);
   EXPECT_EQ(got.rebalance_imbalance_high, want.rebalance_imbalance_high);
   EXPECT_EQ(got.rebalance_patience, want.rebalance_patience);
   EXPECT_EQ(got.rebalance_cooldown, want.rebalance_cooldown);
   EXPECT_EQ(got.cost_ewma_alpha, want.cost_ewma_alpha);
   EXPECT_EQ(got.spec_horizon_initial_ps, want.spec_horizon_initial_ps);
-  EXPECT_EQ(got.spec_horizon_min_ps, want.spec_horizon_min_ps);
-  EXPECT_EQ(got.spec_horizon_max_ps, want.spec_horizon_max_ps);
 }
 
 // --- Speculative window execution ---
@@ -969,6 +958,120 @@ TEST(SessionStateDeathTest, TruncatedSnapshotIsFatal) {
   }
 }
 
+// A small snapshot: two windows of a 2-LP dumbbell (switches 0 and 1; hosts
+// 2, 3 on switch 0 and 4, 5 on switch 1) under unison at 2 threads, with
+// flows still in flight. Host 2 sends two of them. Returns the buffer, and
+// the installed flows' ids in `flows`.
+std::vector<uint8_t> DumbbellSnapshot(const SimConfig& cfg,
+                                      std::vector<uint32_t>* flows) {
+  Network net(cfg);
+  net.AddNodes(6);
+  const uint64_t bps = 10'000'000'000ULL;
+  net.AddLink(0, 1, bps, Time::Microseconds(1));
+  net.AddLink(2, 0, bps, Time::Microseconds(1));
+  net.AddLink(3, 0, bps, Time::Microseconds(1));
+  net.AddLink(4, 1, bps, Time::Microseconds(1));
+  net.AddLink(5, 1, bps, Time::Microseconds(1));
+  net.SetManualPartition(2, {0, 1, 0, 0, 1, 1});
+  net.Finalize();
+  for (const auto& [src, dst, kib] :
+       {std::tuple{2u, 4u, 64u}, std::tuple{2u, 5u, 64u},
+        std::tuple{5u, 3u, 64u}, std::tuple{3u, 2u, 16u}}) {
+    FlowSpec flow;
+    flow.src = src;
+    flow.dst = dst;
+    flow.bytes = kib * 1024;
+    flows->push_back(InstallFlow(net, flow));
+  }
+  net.Run(Time::Microseconds(20));
+  net.Run(Time::Microseconds(40));
+  return Session(&net).Snapshot().bytes();
+}
+
+SimConfig DumbbellConfig() {
+  SimConfig cfg;
+  cfg.kernel.type = KernelType::kUnison;
+  cfg.kernel.threads = 2;
+  cfg.partition = PartitionMode::kManual;
+  cfg.queue.kind = QueueConfig::Kind::kRed;
+  return cfg;
+}
+
+// Two TCP senders of one node decoded with the same flow id fail as a
+// Session error, before the second could replace the first in the node's
+// map and be restored through a dangling pointer.
+TEST(SessionStateDeathTest, RepeatedTcpEndpointIdIsFatal) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  std::vector<uint32_t> flows;
+  std::vector<uint8_t> bytes = DumbbellSnapshot(DumbbellConfig(), &flows);
+  // A sender's wire layout opens with its flow id, destination and size:
+  // give host 2's second flow (to host 5) the id of its first.
+  uint8_t pattern[16];
+  const uint32_t dst = 5;
+  const uint64_t size = 64 * 1024;
+  std::memcpy(pattern, &flows[1], 4);
+  std::memcpy(pattern + 4, &dst, 4);
+  std::memcpy(pattern + 8, &size, 8);
+  auto at = std::search(bytes.begin(), bytes.end(), pattern, pattern + sizeof pattern);
+  ASSERT_NE(at, bytes.end());
+  std::memcpy(&*at, &flows[0], 4);
+  const SessionSnapshot corrupt(std::move(bytes));
+  EXPECT_DEATH((void)Session::Restore(corrupt), "Session: .*repeats");
+}
+
+// Random single-bit corruption of a snapshot either fails as a Session
+// error or restores a network that passed every decode check — never
+// undefined behaviour (this suite also runs under ASan+UBSan, where a
+// sanitizer report exits with status 1 and fails the predicate). Every
+// kernel a flipped kernel type can name starts at most the 2 executors the
+// dumbbell's does. Flips in the `threads` and `ranks` fields are left out:
+// they set how many threads a restore starts, which
+// KernelConfigValidate.RejectsBadConfigs covers without starting any.
+TEST(SessionStateDeathTest, BitFlippedSnapshotFailsCleanly) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const SimConfig cfg = DumbbellConfig();
+  std::vector<uint32_t> flows;
+  const std::vector<uint8_t> bytes = DumbbellSnapshot(cfg, &flows);
+  // The buffer opens with "USNP", the version, then SimConfig: kernel type
+  // (1 byte), threads (4), metric (1), sched_period (4), deterministic (1)
+  // and ranks (4).
+  constexpr size_t kThreadsAt = 9;
+  constexpr size_t kRanksAt = 19;
+  uint32_t threads = 0;
+  uint32_t ranks = 0;
+  std::memcpy(&threads, bytes.data() + kThreadsAt, 4);
+  std::memcpy(&ranks, bytes.data() + kRanksAt, 4);
+  ASSERT_EQ(threads, cfg.kernel.threads);
+  ASSERT_EQ(ranks, cfg.kernel.ranks);
+
+  std::mt19937_64 rng(20261020);
+  constexpr int kFlips = 96;
+  for (int i = 0; i < kFlips; ++i) {
+    size_t at = 0;
+    do {
+      at = rng() % bytes.size();
+    } while ((at >= kThreadsAt && at < kThreadsAt + 4) ||
+             (at >= kRanksAt && at < kRanksAt + 4));
+    const int bit = static_cast<int>(rng() % 8);
+    SCOPED_TRACE("bit " + std::to_string(bit) + " of byte " +
+                 std::to_string(at) + " of " + std::to_string(bytes.size()));
+    std::vector<uint8_t> flipped = bytes;
+    flipped[at] ^= static_cast<uint8_t>(1u << bit);
+    const SessionSnapshot corrupt(std::move(flipped));
+    EXPECT_EXIT(
+        {
+          { std::unique_ptr<Network> restored = Session::Restore(corrupt); }
+          std::fprintf(stderr, "restored cleanly\n");
+          std::_Exit(0);
+        },
+        [](int status) {
+          return (WIFEXITED(status) && WEXITSTATUS(status) == 0) ||
+                 (WIFSIGNALED(status) && WTERMSIG(status) == SIGABRT);
+        },
+        "unison: Session: |restored cleanly");
+  }
+}
+
 // Satellite: KernelConfig::Validate rejects nonsense with a clear message.
 TEST(KernelConfigValidate, RejectsBadConfigs) {
   KernelConfig ok;
@@ -993,6 +1096,34 @@ TEST(KernelConfigValidate, RejectsBadConfigs) {
   KernelConfig max_period = ok;
   max_period.sched_period = KernelConfig::kMaxSchedPeriod;
   EXPECT_TRUE(max_period.Validate().empty());
+
+  // Executors are capped: a corrupt snapshot or a mistyped config must not
+  // make the pool start billions of threads. Validate is pure, so none of
+  // these start any.
+  KernelConfig max_threads = ok;
+  max_threads.threads = KernelConfig::kMaxExecutors;
+  EXPECT_TRUE(max_threads.Validate().empty());
+  KernelConfig over_cap = ok;
+  over_cap.threads = KernelConfig::kMaxExecutors + 1;
+  EXPECT_NE(over_cap.Validate().find("executors"), std::string::npos);
+  KernelConfig all_ones = ok;
+  all_ones.threads = 0xFFFFFFFFu;
+  EXPECT_NE(all_ones.Validate().find("executors"), std::string::npos);
+
+  // Hybrid counts ranks * threads, in 64 bits: 2^31 ranks of 2 lanes wrap a
+  // 32-bit product to 0, and 2 ranks of just over half the cap each fit
+  // alone but not together.
+  KernelConfig wrapping;
+  wrapping.type = KernelType::kHybrid;
+  wrapping.ranks = 1u << 31;
+  wrapping.threads = 2;
+  EXPECT_NE(wrapping.Validate().find("executors"), std::string::npos);
+  KernelConfig hybrid_over = wrapping;
+  hybrid_over.ranks = 2;
+  hybrid_over.threads = KernelConfig::kMaxExecutors / 2 + 1;
+  EXPECT_NE(hybrid_over.Validate().find("executors"), std::string::npos);
+  hybrid_over.threads = KernelConfig::kMaxExecutors / 2;
+  EXPECT_TRUE(hybrid_over.Validate().empty());
 }
 
 }  // namespace

@@ -157,19 +157,23 @@ void Network::Finalize() {
       break;
   }
 
-  KernelConfig kernel_config = config_.kernel;
   if (config_.tuning == TuningMode::kAuto) {
-    // Fit the worker count to the machine actually present, once: workers
-    // beyond the usable CPUs only wait on descheduled peers at every barrier.
-    // Hybrid lanes are per rank, so the ranks share the CPUs.
-    const uint32_t cpus = CountUsableCpus();
-    const uint32_t fit = kernel_config.type == KernelType::kHybrid
-                             ? std::max(1u, cpus / std::max(1u, kernel_config.ranks))
-                             : cpus;
-    kernel_config.threads = std::min(kernel_config.threads, fit);
+    if (fit_threads_) {
+      // Fit the worker count to the machine actually present, once: workers
+      // beyond the usable CPUs only wait on descheduled peers at every
+      // barrier. Hybrid lanes are per rank, so the ranks share the CPUs. The
+      // fit is written back, so config() and every snapshot record the count
+      // the kernel runs with.
+      const uint32_t cpus = CountUsableCpus();
+      const uint32_t fit =
+          config_.kernel.type == KernelType::kHybrid
+              ? std::max(1u, cpus / std::max(1u, config_.kernel.ranks))
+              : cpus;
+      config_.kernel.threads = std::min(config_.kernel.threads, fit);
+    }
     controller_ = std::make_unique<Controller>(config_.tuning_config);
   }
-  kernel_ = MakeKernel(kernel_config);
+  kernel_ = MakeKernel(config_.kernel);
   kernel_->set_profiler(&profiler_);
   kernel_->set_trace(&run_trace_);
   if (pending_external_pool_ != nullptr) {

@@ -60,7 +60,8 @@ struct QueueConfig {
 };
 
 // Tuning switch. kOff runs the KernelConfig as given. kAuto fits the worker
-// count to the usable CPUs once, at Finalize, slices Run() into windows of
+// count to the usable CPUs once, at Finalize (a restore keeps the count its
+// snapshot was taken with), slices Run() into windows of
 // tuning_config.window_ps, and attaches a Controller whose rebalance rule
 // moves LPs between executors at those window boundaries. Results are
 // bit-identical either way: the worker count, window slicing and LP
@@ -262,6 +263,13 @@ class Network {
   // so branch runs reuse the parent's warm workers — zero thread respawns.
   void set_external_pool(ExecutorPool* pool) { pending_external_pool_ = pool; }
 
+  // Skips the tuning=auto worker fit at Finalize, keeping config().kernel
+  // .threads as given. A restore calls it: the decoded config already holds
+  // the count its capturing session fitted, and that session's executor
+  // count sets the FlowMonitor shard layout every snapshotted flow id is
+  // encoded in, so fitting again on another host would break them.
+  void keep_config_threads() { fit_threads_ = false; }
+
   // Retains `obj` for the network's lifetime. For closures scheduled into
   // the kernel that capture raw pointers into long-lived helper objects
   // (progress tickers, streaming flow sources).
@@ -309,6 +317,7 @@ class Network {
   uint64_t injection_epoch_ = 0;
   uint32_t windows_since_checkpoint_ = 0;  // MaybeAutoCheckpoint cadence.
   ExecutorPool* pending_external_pool_ = nullptr;  // Applied at Finalize.
+  bool fit_threads_ = true;  // Cleared by keep_config_threads().
   std::vector<std::shared_ptr<FlowSourceSet>> flow_source_sets_;
   // Closures that must outlive the run (progress tickers etc.).
   std::vector<std::shared_ptr<void>> keepalive_;

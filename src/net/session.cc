@@ -401,7 +401,7 @@ void Io(A& a, Is<FlowMonitor::Image> auto&& m) {
 
 void Io(auto& a, Is<TcpSender::Image> auto&& im) {
   a.U32(im.path_tag);
-  a.Enum(im.state, uint8_t{2});  // The last TcpSender::State.
+  a.Enum(im.state, TcpSender::kLastState);
   a.U64(im.snd_una);
   a.U64(im.snd_nxt);
   a.U64(im.high_tx);
@@ -1010,6 +1010,7 @@ std::unique_ptr<Network> RestoreImpl(const SessionSnapshot& snap,
   if (pool != nullptr) {
     net->set_external_pool(pool);
   }
+  net->keep_config_threads();
   net->Finalize();
 
   Kernel& kernel = net->kernel();

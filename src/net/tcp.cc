@@ -225,7 +225,7 @@ void TcpSender::OnAck(const Packet& ack) {
 TcpSender::Image TcpSender::Save() const {
   Image im;
   im.path_tag = path_tag_;
-  im.state = static_cast<uint8_t>(state_);
+  im.state = state_;
   im.snd_una = snd_una_;
   im.snd_nxt = snd_nxt_;
   im.high_tx = high_tx_;
@@ -252,7 +252,7 @@ TcpSender::Image TcpSender::Save() const {
 
 void TcpSender::Restore(const Image& im) {
   path_tag_ = im.path_tag;
-  state_ = static_cast<State>(im.state);
+  state_ = im.state;
   snd_una_ = im.snd_una;
   snd_nxt_ = im.snd_nxt;
   high_tx_ = im.high_tx;

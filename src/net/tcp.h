@@ -53,13 +53,17 @@ class TcpSender {
   uint64_t size() const { return size_; }
   const TcpConfig& config() const { return cfg_; }
 
+  // Congestion-control phase; public so the snapshot codec can bound it.
+  enum class State : uint8_t { kSlowStart, kCongestionAvoidance, kFastRecovery };
+  static constexpr State kLastState = State::kFastRecovery;
+
   // Every mutable field of the connection, for snapshot/restore. Restore
   // overwrites the constructor-derived path_tag_ too: the constructor keys
   // it off Now(), which is zero when a fork rebuilds endpoints at setup
   // time, not the flow's original start.
   struct Image {
     uint32_t path_tag = 0;
-    uint8_t state = 0;
+    State state = State::kSlowStart;
     uint64_t snd_una = 0;
     uint64_t snd_nxt = 0;
     uint64_t high_tx = 0;
@@ -87,8 +91,6 @@ class TcpSender {
 
  private:
   friend struct TcpRtoEvent;  // Invokes OnRto() when the timer fires.
-
-  enum class State { kSlowStart, kCongestionAvoidance, kFastRecovery };
 
   uint64_t InFlight() const { return snd_nxt_ - snd_una_; }
   void TrySend();

@@ -327,13 +327,23 @@ TEST(TuningPlane, PublishedMovesTakeEffectNextWindow) {
   EXPECT_EQ(tuned.events, reference.events);
 }
 
-// A tuned unison kernel on a fat-tree scenario with a 5 ms horizon; the
+// Two hybrid ranks of one lane each: the rebalance rule moves LPs between
+// ranks, and no host's worker fit can take either away, so the rule is
+// eligible on every machine, a one-CPU one included.
+KernelConfig TwoRankKernel() {
+  KernelConfig kcfg;
+  kcfg.type = KernelType::kHybrid;
+  kcfg.ranks = 2;
+  kcfg.threads = 1;
+  return kcfg;
+}
+
+// A tuned two-rank kernel on a fat-tree scenario with a 5 ms horizon; the
 // caller picks the controller settings.
 std::unique_ptr<Network> BuildTunedFatTree(const ControllerConfig& tuning,
                                            uint32_t sched_period = 0) {
   SimConfig cfg;
-  cfg.kernel.type = KernelType::kUnison;
-  cfg.kernel.threads = 2;
+  cfg.kernel = TwoRankKernel();
   cfg.kernel.sched_period = sched_period;
   cfg.partition = PartitionMode::kAuto;
   cfg.tuning = TuningMode::kAuto;
@@ -365,15 +375,20 @@ ControllerConfig EagerRebalance() {
   return tuning;
 }
 
+// Migration batches the kernel applied over a session's windows.
+uint64_t MigrationBatches(Network& net) {
+  uint64_t batches = 0;
+  for (const WindowTraceSegment& seg : net.run_trace().segments()) {
+    batches += seg.summary.migrations > 0 ? 1 : 0;
+  }
+  return batches;
+}
+
 // kAuto end to end: the rebalance rule moves LPs at window boundaries, the
 // run slices itself into more windows than the caller asked for, and the
 // result is still bit-identical to the static run.
 TEST(TuningPlane, AutoTuningIsResultsNeutral) {
-  KernelConfig kcfg;
-  kcfg.type = KernelType::kUnison;
-  kcfg.threads = 2;
-
-  const RunOutcome off = RunFatTreeScenario(kcfg, PartitionMode::kAuto);
+  const RunOutcome off = RunFatTreeScenario(TwoRankKernel(), PartitionMode::kAuto);
 
   ControllerConfig tuning = EagerRebalance();
   tuning.window_ps = 500'000'000;  // 0.5 ms slices.
@@ -383,13 +398,13 @@ TEST(TuningPlane, AutoTuningIsResultsNeutral) {
   ASSERT_NE(net->controller(), nullptr);
   // The tuned run slices its horizon, so one Run() became several windows.
   EXPECT_GT(net->kernel().session_windows(), 1u);
-  // Every published move set reached the kernel: one migration batch per
-  // decision, none lost between the controller and the next window.
-  uint64_t batches = 0;
-  for (const WindowTraceSegment& seg : net->run_trace().segments()) {
-    batches += seg.summary.migrations > 0 ? 1 : 0;
-  }
+  // The rule acted, and every published move set reached the kernel: one
+  // migration batch per decision, none lost between the controller and the
+  // next window.
   const size_t decisions = net->controller()->decisions().size();
+  ASSERT_FALSE(net->controller()->decisions().empty());
+  const uint64_t batches = MigrationBatches(*net);
+  EXPECT_GT(batches, 0u);
   const bool last_staged =
       !net->kernel().partition_map().staged().empty();
   EXPECT_EQ(batches + (last_staged ? 1 : 0), decisions);
@@ -408,6 +423,8 @@ TEST(TuningPlane, TunedRunSlicesFixedWindowsOnTheStaticResortPeriod) {
   net->Run(Time::Milliseconds(5));
 
   EXPECT_EQ(net->kernel().session_windows(), 5u);
+  ASSERT_FALSE(net->controller()->decisions().empty());
+  EXPECT_GT(MigrationBatches(*net), 0u);
   ASSERT_EQ(net->run_trace().segments().size(), 5u);
   for (const WindowTraceSegment& seg : net->run_trace().segments()) {
     EXPECT_EQ(seg.summary.window_stop_ps - seg.summary.window_start_ps,

@@ -6,6 +6,7 @@
 // injection, and KernelConfig validation.
 #include <gtest/gtest.h>
 
+#include <sched.h>
 #include <sys/wait.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <tuple>
@@ -382,6 +384,81 @@ TEST(SessionSnapshotIo, SaveLoadRoundtripAndColdRestore) {
   EXPECT_EQ(resumed->kernel().session_events(), mono.events);
 }
 
+// Narrows the calling thread to the first CPU it may run on, for the
+// object's lifetime, so CountUsableCpus() reads 1; threads it spawns
+// meanwhile inherit the narrowed mask.
+class OneCpuScope {
+ public:
+  OneCpuScope() {
+    CPU_ZERO(&saved_);
+    EXPECT_EQ(sched_getaffinity(0, sizeof saved_, &saved_), 0);
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &saved_)) {
+        CPU_SET(cpu, &one);
+        break;
+      }
+    }
+    EXPECT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+  }
+  ~OneCpuScope() { sched_setaffinity(0, sizeof saved_, &saved_); }
+  OneCpuScope(const OneCpuScope&) = delete;
+  OneCpuScope& operator=(const OneCpuScope&) = delete;
+
+ private:
+  cpu_set_t saved_;
+};
+
+// A tuned session fits its workers to the CPUs it is built on, and its
+// executor count sets the FlowMonitor shard layout every flow id is encoded
+// in. A restore on a host whose fit differs — here this process with its CPU
+// mask narrowed between capture and restore, or the reverse — keeps the
+// snapshot's count and lands on the parent's outcome.
+TEST(SessionSnapshotIo, TunedSnapshotRestoresUnderAnotherCpuFit) {
+  if (CountUsableCpus() < 2) {
+    GTEST_SKIP() << "two different worker fits need two usable CPUs";
+  }
+  SimConfig cfg;
+  cfg.kernel.type = KernelType::kUnison;
+  cfg.kernel.threads = 2;
+  cfg.partition = PartitionMode::kAuto;
+  cfg.tuning = TuningMode::kAuto;
+
+  for (const bool narrow_capture : {false, true}) {
+    SCOPED_TRACE(narrow_capture ? "captured on 1 CPU" : "restored on 1 CPU");
+    std::optional<OneCpuScope> one_cpu;
+    if (narrow_capture) {
+      one_cpu.emplace();
+    }
+    Network parent(cfg);
+    FatTreeTopo topo = BuildFatTree(parent, 4, 10'000'000'000ULL,
+                                    Time::Microseconds(3));
+    parent.Finalize();
+    GeneratePermutation(parent, topo.hosts, 200 * 1024, Time::Zero());
+    parent.Run(Time::Milliseconds(1));
+    EXPECT_EQ(parent.kernel().MaxExecutors(), narrow_capture ? 1u : 2u);
+    const SessionSnapshot snap = Session(&parent).Snapshot();
+
+    if (narrow_capture) {
+      one_cpu.reset();
+    } else {
+      one_cpu.emplace();
+    }
+    std::unique_ptr<Network> restored = Session::Restore(snap);
+    one_cpu.reset();
+    EXPECT_EQ(restored->config().kernel.threads, parent.config().kernel.threads);
+    EXPECT_EQ(restored->kernel().MaxExecutors(), parent.kernel().MaxExecutors());
+
+    parent.Run(Time::Milliseconds(5));
+    restored->Run(Time::Milliseconds(5));
+    EXPECT_EQ(restored->flow_monitor().Fingerprint(),
+              parent.flow_monitor().Fingerprint());
+    EXPECT_EQ(restored->kernel().session_events(),
+              parent.kernel().session_events());
+  }
+}
+
 // Satellite: the injection-stream counter is session state. Sibling forks
 // that inject the same spec draw the same derived rng stream — identical to
 // each other and to the parent performing the same injection after the
@@ -527,8 +604,24 @@ TEST_P(ControllerTransparency, TunedRunMatchesStaticRun) {
   tuned.tuning_config.rebalance_cooldown = 0;
   tuned.tuning_config.window_ps = 500'000'000;  // 0.5 ms slices.
   RunDigest tuned_digest;
-  const RunOutcome tuned_out =
-      RunFatTreeScenarioConfigured(tuned, 1, 4, 10, 5, &tuned_digest);
+  TuningActivity activity;
+  const RunOutcome tuned_out = RunFatTreeScenarioConfigured(
+      tuned, 1, 4, 10, 5, &tuned_digest, &activity);
+
+  // The rebalance rule reads re-sort rounds over two or more executors: it
+  // drives hybrid (two ranks on any host) and unison once the worker fit
+  // leaves it two workers. Sequential has one executor; barrier and
+  // null-message never re-sort. Each kernel's activity is pinned either way.
+  const bool rule_drives =
+      kc.config.type == KernelType::kHybrid ||
+      (kc.config.type == KernelType::kUnison && CountUsableCpus() >= 2);
+  if (rule_drives) {
+    EXPECT_GT(activity.decisions, 0u);
+    EXPECT_GT(activity.migrations, 0u);
+  } else {
+    EXPECT_EQ(activity.decisions, 0u);
+    EXPECT_EQ(activity.migrations, 0u);
+  }
 
   EXPECT_EQ(tuned_out.fingerprint, off_out.fingerprint);
   EXPECT_EQ(tuned_out.events, off_out.events);

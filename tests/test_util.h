@@ -118,16 +118,25 @@ inline RunOutcome RunFatTreeScenarioWindowed(
   return out;
 }
 
+// What a tuned session's controller did: its rebalance decisions, and the
+// LP migrations the kernel applied over the session's windows.
+struct TuningActivity {
+  uint64_t decisions = 0;
+  uint64_t migrations = 0;
+};
+
 // RunFatTreeScenarioWindowed with full SimConfig control: the tuning-plane
 // tests need to set TuningMode/ControllerConfig (and compare against the
 // plain helpers, which leave tuning off). `windows` counts the *caller's*
 // Run() slices; under kAuto the controller may sub-slice further. When
-// `digest` is non-null it receives the end-of-run RunDigest.
+// `digest` is non-null it receives the end-of-run RunDigest; when `activity`
+// is non-null, the controller's activity (zero with tuning off).
 inline RunOutcome RunFatTreeScenarioConfigured(SimConfig cfg, uint32_t windows,
                                                uint32_t k = 4,
                                                uint64_t gbps = 10,
                                                int sim_ms = 5,
-                                               RunDigest* digest = nullptr) {
+                                               RunDigest* digest = nullptr,
+                                               TuningActivity* activity = nullptr) {
   Network net(cfg);
   FatTreeTopo topo =
       BuildFatTree(net, k, gbps * 1000000000ULL, Time::Microseconds(3));
@@ -154,6 +163,15 @@ inline RunOutcome RunFatTreeScenarioConfigured(SimConfig cfg, uint32_t windows,
   }
   if (digest != nullptr) {
     *digest = DigestOf(net);
+  }
+  if (activity != nullptr) {
+    *activity = TuningActivity{};
+    if (net.controller() != nullptr) {
+      activity->decisions = net.controller()->decisions().size();
+    }
+    for (const WindowTraceSegment& seg : net.run_trace().segments()) {
+      activity->migrations += seg.summary.migrations;
+    }
   }
 
   RunOutcome out;
